@@ -8,7 +8,7 @@ symbol table in its second pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import AssemblerError
 from .lexer import Token, TokenKind, tokenize_line

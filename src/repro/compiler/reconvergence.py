@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..cfg.basic_block import EXIT_BLOCK, FunctionCFG
 from ..cfg.dom import PostDominatorInfo
-from ..isa import Instruction
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..asm.program import Program
-from ..errors import SimulationError, SimulationTimeout
+from ..errors import SimulationTimeout
 from ..isa import Instruction, Opcode
 from . import semantics
 from .state import ArchState

@@ -85,10 +85,6 @@ class SparseMemory:
         clone._pages = {k: bytearray(v) for k, v in self._pages.items()}
         return clone
 
-    def touched_pages(self) -> list[int]:
-        """Page numbers that have been allocated, in order."""
-        return sorted(self._pages)
-
     def equal_contents(self, other: "SparseMemory") -> bool:
         """Content equality that ignores untouched-but-allocated zero pages."""
         zero = bytes(PAGE_SIZE)

@@ -10,7 +10,7 @@ keeping coherence trivially correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from .replacement import make_replacement
@@ -64,8 +64,26 @@ class CacheGeometry:
         return sets
 
 
+class _CacheSet:
+    """The ways of one set, built on the set's first fill."""
+
+    __slots__ = ("ways", "tags", "dirty", "repl")
+
+    def __init__(self, assoc: int, repl_state: object):
+        # Presence index {tag: way}: the per-access way search is one dict
+        # probe instead of an associativity-wide scan.
+        self.ways: dict[int, int] = {}
+        self.tags: list[int | None] = [None] * assoc  # None: invalid way
+        self.dirty = [False] * assoc
+        self.repl = repl_state
+
+
 class Cache:
-    """One level of set-associative cache."""
+    """One level of set-associative cache.
+
+    Sets exist only once filled: a probe of an untouched set is one dict
+    lookup, so building a cache costs the same whatever its set count.
+    """
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
@@ -77,103 +95,97 @@ class Cache:
         # set/tag split is a mask + shift.
         self._set_mask = self.num_sets - 1
         self._set_bits = self.num_sets.bit_length() - 1
-        self._tags: list[list[int]] = [[0] * geometry.assoc for _ in range(self.num_sets)]
-        self._valid: list[list[bool]] = [
-            [False] * geometry.assoc for _ in range(self.num_sets)
-        ]
-        self._dirty: list[list[bool]] = [
-            [False] * geometry.assoc for _ in range(self.num_sets)
-        ]
-        # Presence index: per-set {tag: way}, kept in sync with the way
-        # arrays by fill/invalidate so the per-access way search is one
-        # dict probe instead of an associativity-wide scan.
-        self._map: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._repl = make_replacement(geometry.replacement, self.num_sets, geometry.assoc)
+        self._sets: dict[int, _CacheSet] = {}
+        self._repl = make_replacement(geometry.replacement, geometry.assoc)
         self.stats = CacheStats()
 
     # ----------------------------------------------------------- addressing
     def line_of(self, address: int) -> int:
         return address >> self.line_bits
 
-    def _set_tag(self, line: int) -> tuple[int, int]:
-        return line & self._set_mask, line >> self._set_bits
-
-    def _find(self, line: int) -> tuple[int, int | None]:
-        set_index = line & self._set_mask
-        return set_index, self._map[set_index].get(line >> self._set_bits)
+    def _find(self, line: int) -> tuple[_CacheSet | None, int | None]:
+        cache_set = self._sets.get(line & self._set_mask)
+        if cache_set is None:
+            return None, None
+        return cache_set, cache_set.ways.get(line >> self._set_bits)
 
     # -------------------------------------------------------------- queries
     def contains(self, address: int) -> bool:
         """Presence probe with NO side effects (attack receivers use this)."""
-        _, way = self._find(self.line_of(address))
-        return way is not None
+        return self._find(self.line_of(address))[1] is not None
 
     # -------------------------------------------------------------- accesses
     def access(self, address: int, is_write: bool) -> bool:
         """Look up the line; updates recency and stats.  True on hit."""
         line = address >> self.line_bits
-        set_index = line & self._set_mask
-        way = self._map[set_index].get(line >> self._set_bits)
+        cache_set = self._sets.get(line & self._set_mask)
+        way = None if cache_set is None else cache_set.ways.get(line >> self._set_bits)
         if way is None:
             self.stats.misses += 1
             return False
         self.stats.hits += 1
-        self._repl.on_access(set_index, way)
+        self._repl.on_access(cache_set.repl, way)
         if is_write:
-            self._dirty[set_index][way] = True
+            cache_set.dirty[way] = True
         return True
 
     def fill(self, address: int, dirty: bool = False) -> int | None:
         """Install the line; returns the evicted line number (or None).
 
-        Counts a writeback when the victim was dirty.
+        Takes the lowest invalid way, else the policy's victim.  Counts a
+        writeback when the victim was dirty.
         """
         line = self.line_of(address)
-        set_index, way = self._find(line)
+        set_index = line & self._set_mask
+        tag = line >> self._set_bits
+        cache_set = self._sets.get(set_index)
+        if cache_set is None:
+            cache_set = self._sets[set_index] = _CacheSet(
+                self.geometry.assoc, self._repl.new_set()
+            )
+        way = cache_set.ways.get(tag)
         if way is not None:
             # Already present (e.g. race between demand fill and prefetch).
-            self._repl.on_access(set_index, way)
+            self._repl.on_access(cache_set.repl, way)
             if dirty:
-                self._dirty[set_index][way] = True
+                cache_set.dirty[way] = True
             return None
-        tag = line >> self._set_bits
-        victim_way = self._repl.victim(set_index, self._valid[set_index])
+        tags = cache_set.tags
         evicted: int | None = None
-        tag_map = self._map[set_index]
-        if self._valid[set_index][victim_way]:
+        if len(cache_set.ways) < len(tags):
+            way = tags.index(None)
+        else:
+            way = self._repl.victim(cache_set.repl)
             self.stats.evictions += 1
-            if self._dirty[set_index][victim_way]:
+            if cache_set.dirty[way]:
                 self.stats.writebacks += 1
-            victim_tag = self._tags[set_index][victim_way]
+            victim_tag = tags[way]
             evicted = victim_tag * self.num_sets + set_index
-            del tag_map[victim_tag]
-        self._tags[set_index][victim_way] = tag
-        self._valid[set_index][victim_way] = True
-        self._dirty[set_index][victim_way] = dirty
-        tag_map[tag] = victim_way
-        self._repl.on_fill(set_index, victim_way)
+            del cache_set.ways[victim_tag]
+        tags[way] = tag
+        cache_set.dirty[way] = dirty
+        cache_set.ways[tag] = way
+        self._repl.on_fill(cache_set.repl, way)
         return evicted
 
     def invalidate(self, address: int) -> bool:
         """Drop the line if present; True if it was present."""
-        line = self.line_of(address)
-        set_index, way = self._find(line)
+        cache_set, way = self._find(self.line_of(address))
         if way is None:
             return False
-        if self._dirty[set_index][way]:
+        if cache_set.dirty[way]:
             self.stats.writebacks += 1
-        self._valid[set_index][way] = False
-        self._dirty[set_index][way] = False
-        del self._map[set_index][line >> self._set_bits]
+        del cache_set.ways[cache_set.tags[way]]
+        cache_set.tags[way] = None
+        cache_set.dirty[way] = False
         self.stats.flushes += 1
         return True
 
     # ------------------------------------------------------------- utilities
     def resident_lines(self) -> set[int]:
         """All resident line numbers (test/debug aid)."""
-        lines = set()
-        for set_index in range(self.num_sets):
-            for way in range(self.geometry.assoc):
-                if self._valid[set_index][way]:
-                    lines.add(self._tags[set_index][way] * self.num_sets + set_index)
-        return lines
+        return {
+            tag * self.num_sets + set_index
+            for set_index, cache_set in self._sets.items()
+            for tag in cache_set.ways
+        }

@@ -8,7 +8,7 @@ correctness lives in the backing memory, this module answers *when*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import Cache, CacheGeometry
 from .dram import DramModel
@@ -51,18 +51,11 @@ class MemoryHierarchy:
             cycles_per_access=self.config.dram_cycles_per_access,
         )
         self.mshrs = MshrFile(self.config.mshr_entries)
-        if self.config.prefetcher == "next_line":
-            self.prefetcher: Prefetcher = make_prefetcher(
-                "next_line",
-                line_bytes=self.config.l1d.line_bytes,
-                degree=self.config.prefetch_degree,
-            )
-        elif self.config.prefetcher == "stride":
-            self.prefetcher = make_prefetcher(
-                "stride", degree=self.config.prefetch_degree
-            )
-        else:
-            self.prefetcher = make_prefetcher(self.config.prefetcher)
+        name = self.config.prefetcher
+        options = {} if name == "none" else {"degree": self.config.prefetch_degree}
+        if name == "next_line":
+            options["line_bytes"] = self.config.l1d.line_bytes
+        self.prefetcher: Prefetcher = make_prefetcher(name, **options)
 
     # ------------------------------------------------------------ demand path
     def load(self, address: int, cycle: int, pc: int = 0) -> int:

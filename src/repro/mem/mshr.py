@@ -8,7 +8,7 @@ earliest completion, which is how MSHR pressure turns into stall cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Cache replacement policies.
 
-Policies manage per-set recency metadata; the cache asks them which way to
-victimize on a fill.  All policies are deterministic (the "random" policy is
-a seeded xorshift) so simulations reproduce exactly.
+Policies manage per-set recency metadata; the cache asks them which way of
+a full set to victimize on a fill.  All policies are deterministic (the
+"random" policy is a seeded xorshift) so simulations reproduce exactly.
 """
 
 from __future__ import annotations
@@ -11,56 +11,63 @@ import abc
 
 
 class ReplacementPolicy(abc.ABC):
-    """Per-set replacement state for ``num_sets`` sets of ``num_ways`` ways."""
+    """Recency metadata for sets of ``num_ways`` ways.
 
-    def __init__(self, num_sets: int, num_ways: int):
-        self.num_sets = num_sets
+    The cache keeps one state object per set, made by :meth:`new_set` on the
+    set's first fill, and hands it back on every call.  The cache fills the
+    lowest invalid way itself, so :meth:`victim` is only asked about a full
+    set.
+    """
+
+    def __init__(self, num_ways: int):
         self.num_ways = num_ways
 
-    @abc.abstractmethod
-    def on_access(self, set_index: int, way: int) -> None:
-        """A hit touched this way."""
+    def new_set(self) -> object:
+        """Fresh per-set state (default: stateless)."""
+        return None
+
+    def on_access(self, state, way: int) -> None:
+        """A hit touched this way (default: nothing to update)."""
 
     @abc.abstractmethod
-    def victim(self, set_index: int, valid: list[bool]) -> int:
-        """Choose a way to evict (prefer invalid ways)."""
+    def victim(self, state) -> int:
+        """Choose a way to evict from a full set."""
 
-    def on_fill(self, set_index: int, way: int) -> None:
+    def on_fill(self, state, way: int) -> None:
         """A fill installed into this way (default: treat as access)."""
-        self.on_access(set_index, way)
+        self.on_access(state, way)
 
 
 class LruPolicy(ReplacementPolicy):
-    """True LRU via per-set recency stamps."""
+    """True LRU via per-set recency stamps from one shared clock."""
 
-    def __init__(self, num_sets: int, num_ways: int):
-        super().__init__(num_sets, num_ways)
-        self._stamps = [[0] * num_ways for _ in range(num_sets)]
+    def __init__(self, num_ways: int):
+        super().__init__(num_ways)
         self._clock = 0
 
-    def on_access(self, set_index: int, way: int) -> None:
-        self._clock += 1
-        self._stamps[set_index][way] = self._clock
+    def new_set(self) -> list[int]:
+        return [0] * self.num_ways
 
-    def victim(self, set_index: int, valid: list[bool]) -> int:
-        for way, v in enumerate(valid):
-            if not v:
-                return way
-        stamps = self._stamps[set_index]
+    def on_access(self, stamps: list[int], way: int) -> None:
+        self._clock += 1
+        stamps[way] = self._clock
+
+    def victim(self, stamps: list[int]) -> int:
         return stamps.index(min(stamps))
 
 
 class TreePlruPolicy(ReplacementPolicy):
     """Tree pseudo-LRU (binary decision tree per set); ways must be 2^k."""
 
-    def __init__(self, num_sets: int, num_ways: int):
-        super().__init__(num_sets, num_ways)
+    def __init__(self, num_ways: int):
+        super().__init__(num_ways)
         if num_ways & (num_ways - 1):
             raise ValueError("tree PLRU requires power-of-two associativity")
-        self._bits = [[False] * max(1, num_ways - 1) for _ in range(num_sets)]
 
-    def on_access(self, set_index: int, way: int) -> None:
-        bits = self._bits[set_index]
+    def new_set(self) -> list[bool]:
+        return [False] * max(1, self.num_ways - 1)
+
+    def on_access(self, bits: list[bool], way: int) -> None:
         node = 0
         low, high = 0, self.num_ways
         while high - low > 1:
@@ -73,11 +80,7 @@ class TreePlruPolicy(ReplacementPolicy):
             else:
                 high = mid
 
-    def victim(self, set_index: int, valid: list[bool]) -> int:
-        for way, v in enumerate(valid):
-            if not v:
-                return way
-        bits = self._bits[set_index]
+    def victim(self, bits: list[bool]) -> int:
         node = 0
         low, high = 0, self.num_ways
         while high - low > 1:
@@ -94,8 +97,8 @@ class TreePlruPolicy(ReplacementPolicy):
 class SeededRandomPolicy(ReplacementPolicy):
     """Deterministic pseudo-random replacement (xorshift64)."""
 
-    def __init__(self, num_sets: int, num_ways: int, seed: int = 0x9E3779B9):
-        super().__init__(num_sets, num_ways)
+    def __init__(self, num_ways: int, seed: int = 0x9E3779B9):
+        super().__init__(num_ways)
         self._state = seed or 1
 
     def _next(self) -> int:
@@ -106,13 +109,7 @@ class SeededRandomPolicy(ReplacementPolicy):
         self._state = x
         return x
 
-    def on_access(self, set_index: int, way: int) -> None:
-        pass
-
-    def victim(self, set_index: int, valid: list[bool]) -> int:
-        for way, v in enumerate(valid):
-            if not v:
-                return way
+    def victim(self, state: None) -> int:
         return self._next() % self.num_ways
 
 
@@ -123,7 +120,7 @@ POLICIES = {
 }
 
 
-def make_replacement(name: str, num_sets: int, num_ways: int) -> ReplacementPolicy:
+def make_replacement(name: str, num_ways: int) -> ReplacementPolicy:
     if name not in POLICIES:
         raise ValueError(f"unknown replacement policy {name!r}")
-    return POLICIES[name](num_sets, num_ways)
+    return POLICIES[name](num_ways)

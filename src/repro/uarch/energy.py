@@ -15,7 +15,7 @@ defense pay for itself in EDP".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..mem.hierarchy import MemoryHierarchy
 from .stats import CoreStats

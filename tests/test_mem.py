@@ -1,5 +1,10 @@
 """Backing memory, caches, MSHRs, DRAM, hierarchy."""
 
+import dataclasses
+import hashlib
+import random
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigError
@@ -102,6 +107,90 @@ def test_tree_plru_cache_works():
     assert len(cache.resident_lines()) <= 8
 
 
+# Pinned digests of seeded access traces.  Every returned value, evicted
+# line, the final resident set and the stats feed the digest, so any change
+# in which way a fill takes or which line a policy evicts shows up here.
+# The values were captured from the eager per-set arrays this model
+# replaced; no benchmark digest covers tree_plru or random.
+CACHE_TRACE_DIGESTS = {
+    "lru": "16f6657d78e93147",
+    "tree_plru": "4d353d8ae4bfbc50",
+    "random": "f0c3a7be0e854b06",
+}
+HIERARCHY_TRACE_DIGESTS = {
+    "lru": "432d19a69a0ed639",
+    "tree_plru": "a0388e9be9ce3f28",
+    "random": "9adbb7851f1250d2",
+}
+
+
+def _digest(log) -> str:
+    return hashlib.sha256(repr(log).encode()).hexdigest()[:16]
+
+
+def _cache_trace(repl: str) -> str:
+    # 8 sets x 4 ways = 32 lines of capacity against 96 distinct lines.
+    cache = small_cache(assoc=4, sets=8, repl=repl)
+    rng = random.Random(f"cache-trace:{repl}")
+    log = []
+    for _ in range(5000):
+        address = rng.randrange(96) * 64 + rng.randrange(64)
+        op = rng.randrange(10)
+        if op < 4:
+            log.append(("access", cache.access(address, rng.random() < 0.3)))
+        elif op < 8:
+            log.append(("fill", cache.fill(address, dirty=rng.random() < 0.3)))
+        elif op < 9:
+            log.append(("invalidate", cache.invalidate(address)))
+        else:
+            log.append(("contains", cache.contains(address)))
+    log.append(sorted(cache.resident_lines()))
+    log.append(dataclasses.asdict(cache.stats))
+    return _digest(log)
+
+
+def _hierarchy_trace(repl: str) -> str:
+    base = MemHierarchyConfig()
+    config = MemHierarchyConfig(**{
+        level: dataclasses.replace(getattr(base, level), replacement=repl)
+        for level in ("l1i", "l1d", "l2", "llc")
+    })
+    hier = MemoryHierarchy(config)
+    rng = random.Random(f"hierarchy-trace:{repl}")
+    log = []
+    cycle = 0
+    for _ in range(5000):
+        # Lines s + k*1024 share set s at every level: 48 tags in 8 sets
+        # overflow the 16-way LLC as well as the L1s and the L2.
+        address = (rng.randrange(8) + rng.randrange(48) * 1024) * 64
+        op = rng.randrange(10)
+        if op < 5:
+            log.append(("load", hier.load(address, cycle, pc=rng.randrange(4))))
+        elif op < 7:
+            log.append(("store", hier.store(address, cycle)))
+        elif op < 9:
+            log.append(("fetch", hier.fetch(address, cycle)))
+        else:
+            hier.flush_address(address)
+        log.append(hier.probe_level(address))
+        cycle += rng.randrange(1, 40)
+    for level in ("l1i", "l1d", "l2", "llc"):
+        cache = getattr(hier, level)
+        log.append((level, sorted(cache.resident_lines()), cache.stats.flushes))
+    log.append(hier.stats())
+    return _digest(log)
+
+
+@pytest.mark.parametrize("repl", sorted(CACHE_TRACE_DIGESTS))
+def test_cache_trace_pinned(repl):
+    assert _cache_trace(repl) == CACHE_TRACE_DIGESTS[repl]
+
+
+@pytest.mark.parametrize("repl", sorted(HIERARCHY_TRACE_DIGESTS))
+def test_hierarchy_trace_pinned(repl):
+    assert _hierarchy_trace(repl) == HIERARCHY_TRACE_DIGESTS[repl]
+
+
 # --------------------------------------------------------------------- MSHR
 def test_mshr_merge_same_line():
     mshrs = MshrFile(4)
@@ -194,6 +283,21 @@ def test_hierarchy_stride_prefetcher_reduces_misses():
     assert pref.l2.stats.misses + pref.l1d.stats.misses < (
         plain.l2.stats.misses + plain.l1d.stats.misses
     )
+
+
+def test_hierarchy_construction_independent_of_set_count():
+    # A 64 MiB LLC has 65,536 sets; none may cost anything until filled.
+    config = MemHierarchyConfig(
+        llc=CacheGeometry("llc", 64 * 1024 * 1024, 16, hit_latency=30)
+    )
+    tracemalloc.start()
+    try:
+        hier = MemoryHierarchy(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert hier.llc.num_sets == 65536
 
 
 def test_hierarchy_warm_line():
