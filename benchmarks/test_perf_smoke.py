@@ -58,7 +58,6 @@ _FEATURE_FLAGS = {
     "cycle_skip": "REPRO_NO_CYCLE_SKIP",
     "dyn_pool": "REPRO_NO_DYN_POOL",
     "specialize": "REPRO_NO_SPECIALIZE",
-    "superblock": "REPRO_NO_SUPERBLOCK",
     "lockstep": "REPRO_NO_LOCKSTEP",
 }
 
@@ -69,7 +68,6 @@ _LEGACY_FEATURES = {
     "cycle_skip": True,
     "dyn_pool": True,
     "specialize": False,
-    "superblock": False,
     "lockstep": False,
 }
 

@@ -799,7 +799,6 @@ def cmd_profile(args) -> int:
             max_cycles=args.limit,
             cycle_skip=False if args.no_cycle_skip else None,
             specialize=False if args.no_specialize else None,
-            superblock=False if args.no_superblock else None,
         )
         render = render_profile
     if args.json:
@@ -1176,9 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-specialize", action="store_true",
                    help="profile the interpreted execute path instead of "
                    "the region-specialized one")
-    p.add_argument("--no-superblock", action="store_true",
-                   help="profile the per-PC front end instead of the "
-                   "superblock fast path")
     p.add_argument("--compare", action="store_true",
                    help="run specialized vs interpreted back-to-back and "
                    "print the per-stage delta table")

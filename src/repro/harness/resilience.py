@@ -35,6 +35,8 @@ import hashlib
 import json
 import math
 import os
+import signal
+import threading
 import time
 import traceback
 from collections import Counter
@@ -239,6 +241,40 @@ def simulate_point(args: tuple) -> RunRecord:
     return record.slim()
 
 
+# ------------------------------------------------------------------- pools
+#: How often a pool worker checks that the process that forked it is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: never outlive the pool's owner.
+
+    A worker whose owner was SIGKILLed keeps both ends of the pool's pipes
+    open, so it never sees EOF and would run forever; a daemon thread
+    exits it once it has been re-parented.  The owner's signal setup is
+    undone as well: a forked worker inherits the ``repro serve`` drain
+    handler (and the event loop's wakeup fd), which would turn a plain
+    ``kill`` of the worker into a no-op.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def process_pool(workers: int) -> cf.ProcessPoolExecutor:
+    """A process pool whose workers exit when their owner dies."""
+    return cf.ProcessPoolExecutor(
+        max_workers=workers, initializer=_exit_with_parent
+    )
+
+
 # -------------------------------------------------------------- supervisor
 def _failure_outcome(item: WorkItem, exc: BaseException,
                      status: str) -> RunOutcome:
@@ -324,7 +360,7 @@ def execute_supervised(
         return report
 
     workers = min(jobs, len(items))
-    pool = cf.ProcessPoolExecutor(max_workers=workers)
+    pool = process_pool(workers)
     pending: dict[cf.Future, WorkItem] = {}
     retry_at: list[tuple[float, WorkItem]] = []  # (due monotonic time, item)
 
@@ -340,7 +376,7 @@ def execute_supervised(
         pool.shutdown(wait=False, cancel_futures=True)
         if report.pool_rebuilds > policy.max_pool_rebuilds:
             return False
-        pool = cf.ProcessPoolExecutor(max_workers=workers)
+        pool = process_pool(workers)
         return True
 
     def drain_to_serial() -> None:

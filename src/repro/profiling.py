@@ -44,24 +44,7 @@ _STAGE_FUNCTIONS = {
     "_commit": "commit",
     "_squash_after": "squash",
     "_alloc_dyn_slow": "alloc",
-    "_stream_superblocks": "fetch",
 }
-
-
-def _stage_of(function_name: str) -> str | None:
-    """Pipeline-stage label for a profiled function name.
-
-    Generated superblock ops are per-program (``_sbf_<i>`` fetches,
-    ``_sbd_<i>`` dispatches+renames), so they are matched by prefix and
-    folded into the stage rows the fetch-wall comparison reads.
-    """
-    stage = _STAGE_FUNCTIONS.get(function_name)
-    if stage is None:
-        if function_name.startswith("_sbf_"):
-            return "fetch"
-        if function_name.startswith("_sbd_"):
-            return "dispatch"
-    return stage
 
 
 def profile_run(
@@ -74,7 +57,6 @@ def profile_run(
     max_cycles: int | None = None,
     cycle_skip: bool | None = None,
     specialize: bool | None = None,
-    superblock: bool | None = None,
 ) -> dict:
     """Profile one simulator run; returns the combined report as a dict."""
     if sort not in SORT_KEYS:
@@ -85,7 +67,6 @@ def profile_run(
         policy=make_policy(policy_name),
         cycle_skip=cycle_skip,
         specialize=specialize,
-        superblock=superblock,
     )
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -154,18 +135,6 @@ def profile_run(
             "enabled": core._specialize,
             **spec_cache_info(),
         },
-        # Superblock front-end fast path: the hit rate is the fraction of
-        # committed instructions that were fetched via a generated
-        # superblock op (the rest took the per-PC loop — terminators,
-        # short runs, post-squash refills into mid-line misses, ...).
-        "superblock": {
-            "enabled": core._superblock,
-            "fetched_fast": core._sb_fetched,
-            "committed_fast": core._sb_committed,
-            "hit_rate": (
-                core._sb_committed / s.committed if s.committed else 0.0
-            ),
-        },
         "top_functions": top_functions,
     }
     return report
@@ -196,7 +165,7 @@ def compare_specialization(
         )
         arms[arm] = report
         for row in report["top_functions"]:
-            stage = _stage_of(row["function"])
+            stage = _STAGE_FUNCTIONS.get(row["function"])
             if stage is not None:
                 bucket = stage_times.setdefault(stage, {})
                 bucket[arm] = bucket.get(arm, 0.0) + row["tottime"]
@@ -232,8 +201,6 @@ def compare_specialization(
                          if spec_run["wall_seconds"] > 0 else 0.0),
         "stages": stages,
         "specialization": arms["specialized"]["specialization"],
-        "superblock": arms["specialized"]["superblock"],
-        "superblock_hit_rate": arms["specialized"]["superblock"]["hit_rate"],
     }
 
 
@@ -267,14 +234,6 @@ def render_compare(report: dict) -> str:
         f"{cache['generated_functions']} generated fn(s) in "
         f"{cache['codegen_ms']:.1f}ms"
     )
-    sb = report["superblock"]
-    if sb["enabled"]:
-        lines.append(
-            f"  superblock: {sb['committed_fast']} of "
-            f"{spec['committed']} committed via fast path "
-            f"({100 * sb['hit_rate']:.1f}% hit rate, "
-            f"{sb['fetched_fast']} fetched)"
-        )
     return "\n".join(lines)
 
 
@@ -300,14 +259,6 @@ def render_profile(report: dict) -> str:
         ),
         "  cycle attribution (overlapping buckets):",
     ]
-    sb = report["superblock"]
-    if sb["enabled"]:
-        lines.insert(3, (
-            f"  superblock: {sb['committed_fast']} of "
-            f"{run['committed']} committed via fast path "
-            f"({100 * sb['hit_rate']:.1f}% hit rate, "
-            f"{sb['fetched_fast']} fetched)"
-        ))
     for key in (
         "fetch_stall_cycles",
         "rob_full_stalls",

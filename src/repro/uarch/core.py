@@ -47,11 +47,7 @@ from .decoded import (
     S_SERIALIZE,
     decoded_image,
 )
-from .specialize import (
-    specialize_enabled,
-    specialized_image,
-    superblock_enabled,
-)
+from .specialize import specialize_enabled, specialized_image
 from .dyninst import EMPTY, Checkpoint, DynInst, Stage
 from .horizon import WATCHDOG_CYCLES as _WATCHDOG_CYCLES
 from .horizon import WarpStats, warp_to_horizon
@@ -110,7 +106,6 @@ class OooCore:
         cycle_skip: bool | None = None,
         recycle_dyninsts: bool | None = None,
         specialize: bool | None = None,
-        superblock: bool | None = None,
     ):
         self.program = program
         self.config = config or CoreConfig()
@@ -170,19 +165,6 @@ class OooCore:
         # unread and lineage finalization skips building them.  Derived
         # from the policy alone, so both execution modes agree.
         self._track_roots = bool(self.policy.uses_taint_roots)
-        # Superblock front-end fast path: one generated fetch + dispatch
-        # function per straight-line run (attached alongside the per-PC ops
-        # above), used only when both knobs are on.  Bit-invisible by
-        # contract (REPRO_NO_SUPERBLOCK=1 forces the per-PC loops).
-        if superblock is None:
-            superblock = superblock_enabled()
-        self._superblock = bool(
-            specialize and superblock and self._decoded.superblocks
-        )
-        # Superblock diagnostics (deliberately off CoreStats — the fast and
-        # slow front ends are bit-identical; what differs lives here).
-        self._sb_fetched = 0
-        self._sb_committed = 0
         # Grid-point label threaded into SimulationTimeout by lockstep
         # batches so a multi-point worker failure names the guilty point.
         self.point_label: str | None = None
@@ -426,7 +408,6 @@ class OooCore:
         line_bits = self._line_bits
         budget = self.config.fetch_width
         use_compiler_info = self._use_compiler_info
-        use_sb = self._superblock
         stats = self.stats
         dyn_pool = self._dyn_pool
         dyn_pool_light = self._dyn_pool_light
@@ -444,39 +425,6 @@ class OooCore:
                     self.fetch_wild = True  # wrong path off the text segment
                     return
 
-                if use_sb:
-                    sb = dec.sb
-                    if sb is not None:
-                        # Superblock fast path: the entry PC may close a
-                        # tracker region (it is a boundary); interior PCs
-                        # never can, so the dep set is computed once and
-                        # the generated op fetches the rest of the run.
-                        regions = self.active_regions
-                        deps = EMPTY_DEPS
-                        if regions:
-                            if pc in reconv_live:
-                                self.active_regions = regions = [
-                                    entry for entry in regions
-                                    if entry[1] != pc
-                                ]
-                                reconv_live.discard(pc)
-                                self._live_deps = None
-                            if regions:
-                                deps = self._live_deps
-                                if deps is None:
-                                    deps = self._live_deps = frozenset(
-                                        r[0] for r in regions if r[2]
-                                    )
-                        pos, budget, last_line, stall = sb.fop(
-                            self, fetch_queue, cycle, budget,
-                            fq_cap - len(fetch_queue), dec.sb_pos,
-                            deps, last_line, line_bits,
-                        )
-                        if stall:
-                            pc = sb.pcs[pos]  # resume at the missing PC
-                            return
-                        pc = sb.pcs[pos] if pos < sb.n else sb.next_pc
-                        continue
                 line = pc >> line_bits
                 if line != last_line:
                     ready = hfetch(pc, cycle)
@@ -654,8 +602,6 @@ class OooCore:
         lq_size = cfg.lq_size
         sq_size = cfg.sq_size
         width = cfg.dispatch_width
-        use_sb = self._superblock
-        ripe = cycle - frontend_latency
         # Occupancy counters live in locals for the loop; written back below.
         iq_count = self.iq_count
         lq_count = self.lq_count
@@ -665,33 +611,6 @@ class OooCore:
         arf_taint = self.arf_taint
         while width > 0 and fetch_queue:
             dyn = fetch_queue[0]
-
-            if use_sb:
-                sb = dyn.dec.sb
-                if sb is not None:
-                    # Superblock fast path: the generated op dispatches and
-                    # renames run instructions until width/ripeness/capacity
-                    # stops it, returning the slow loop's first-blocked
-                    # stall code so accounting is identical.
-                    d, code, lq_d, sq_d = sb.dop(
-                        self, fetch_queue, rob, cycle, ripe, width,
-                        rob_size - len(rob), iq_size - iq_count,
-                        lq_size - lq_count, sq_size - sq_count,
-                        dyn.dec.sb_pos,
-                    )
-                    width -= d
-                    iq_count += d
-                    lq_count += lq_d
-                    sq_count += sq_d
-                    if code == 0:
-                        continue  # ran dry: terminator (or empty queue) next
-                    if code == 2:
-                        stats.rob_full_stalls += 1
-                    elif code == 3:
-                        stats.iq_full_stalls += 1
-                    elif code == 4:
-                        stats.lsq_full_stalls += 1
-                    break  # code 1 (head not ripe) breaks without a stat
 
             if dyn.fetch_cycle + frontend_latency > cycle:
                 break
@@ -715,8 +634,7 @@ class OooCore:
             width -= 1
             dyn.stage = Stage.DISPATCHED
             dyn.dispatch_cycle = cycle
-            # Rename, inlined (same body the generated superblock dispatch
-            # ops emit): producer links from the map, else ARF value +
+            # Rename, inlined: producer links from the map, else ARF value +
             # taint capture.
             dec = dyn.dec
             rs = dec.rs1n
@@ -1438,7 +1356,6 @@ class OooCore:
         # watchdog timestamp, and the retry event are written once per
         # commit packet instead of once per instruction.
         committed_n = 0
-        sb_n = 0
         while width > 0 and rob:
             dyn = rob[0]
             if dyn.stage is not Stage.COMPLETED:
@@ -1458,8 +1375,6 @@ class OooCore:
             dyn.stage = Stage.COMMITTED
             dyn.commit_cycle = cycle
             committed_n += 1
-            if dyn.sb_fast:
-                sb_n += 1
             if record_trace:
                 self.committed_pcs.append(dyn.pc)
             if record_pipeline:
@@ -1510,6 +1425,5 @@ class OooCore:
                 retire_fifo.append((self._next_seq, dyn))
         if committed_n:
             stats.committed += committed_n
-            self._sb_committed += sb_n
             self._last_commit_cycle = cycle
             self._retry_event = True

@@ -58,11 +58,6 @@ C_HALT = 6
 
 _PORT_INDEX = {"alu": 0, "mul": 1, "div": 2}
 
-#: Superblock runs shorter than this stay on the per-PC path: for a
-#: one-instruction "run" the generated-call overhead exceeds the saved
-#: per-instruction decode dispatch.
-_SB_MIN_RUN = 2
-
 
 class DecodedInst:
     """Static per-instruction facts, materialized once per program."""
@@ -74,11 +69,6 @@ class DecodedInst:
         # instead of an Opcode attribute chain / string compare.
         "sched", "port_i", "cc", "dest", "asize", "is_ctrl", "true_load",
         "rs1n", "rs2n",
-        # Superblock membership: the run this PC belongs to (None when it
-        # is a terminator or the run was below _SB_MIN_RUN) and the
-        # position inside it (mid-run entry from a predicted indirect
-        # target starts the generated function at this offset).
-        "sb", "sb_pos",
         # Specialized per-PC ops, attached lazily by repro.uarch.specialize:
         # execute (xop), effective address (aop), load extension (ext).
         "xop", "aop", "ext",
@@ -131,8 +121,6 @@ class DecodedInst:
         self.asize = opcode.access_size if opcode.is_mem else 0
         self.is_ctrl = is_branch or is_jalr
         self.true_load = opcode.is_load and opcode is not Opcode.CFLUSH
-        self.sb = None
-        self.sb_pos = 0
         self.xop = None
         self.aop = None
         self.ext = None
@@ -141,109 +129,16 @@ class DecodedInst:
         return f"DecodedInst({self.inst.text()}, kind={self.kind})"
 
 
-class Superblock:
-    """One maximal single-entry straight-line run of plain instructions.
-
-    A run contains only ``K_SEQ`` non-FENCE instructions; the terminator
-    (branch / jal / jalr / halt / fence) and any PC that is a potential
-    control-flow *entry* — a branch target, a branch/jump fallthrough, the
-    program entry, or any reconvergence PC — start a new run.  Because every
-    reconvergence PC is a boundary, no interior PC can close a tracker
-    region, so the control-dependency set is constant across a fetched run
-    and the generated fetch op computes it once per packet.  Mid-run entry
-    (a predicted indirect target landing inside) is legal: the generated
-    ops take a start position.
-    """
-
-    __slots__ = (
-        "index", "pcs", "decs", "n", "next_pc", "meta", "has_mem",
-        "fop", "dop",
-    )
-
-    def __init__(self, index: int, decs: list) -> None:
-        self.index = index
-        self.decs = tuple(decs)
-        self.pcs = tuple(d.pc for d in decs)
-        self.n = len(decs)
-        self.next_pc = decs[-1].fallthrough
-        meta = []
-        has_mem = False
-        for d in decs:
-            inst = d.inst
-            op = d.opcode
-            rs1 = inst.rs1 if (op.reads_rs1 and inst.rs1 != 0) else -1
-            rs2 = inst.rs2 if (op.reads_rs2 and inst.rs2 != 0) else -1
-            dest = inst._dest if inst._dest is not None else -1
-            cls = 1 if op.is_load else (2 if op.is_store else 0)
-            if cls:
-                has_mem = True
-            meta.append((rs1, rs2, dest, cls))
-        self.meta = tuple(meta)
-        self.has_mem = has_mem
-        # Generated fetch / dispatch+rename ops, attached together with the
-        # per-PC ops by repro.uarch.specialize.
-        self.fop = None
-        self.dop = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Superblock({self.index}, pcs={self.pcs[0]:#x}..{self.pcs[-1]:#x},"
-            f" n={self.n})"
-        )
-
-
-def _partition_superblocks(program: "Program", by_pc: dict) -> tuple:
-    """Split the text segment into superblock runs (see :class:`Superblock`)."""
-    boundaries = {program.entry}
-    for inst in program.instructions:
-        opcode = inst.opcode
-        if opcode.is_branch:
-            boundaries.add(inst.branch_target)
-            boundaries.add(inst.fallthrough)
-        elif opcode is Opcode.JAL:
-            boundaries.add(inst.imm)
-            boundaries.add(inst.fallthrough)
-        elif opcode is Opcode.JALR:
-            boundaries.add(inst.fallthrough)
-    for dec in by_pc.values():
-        if dec.reconv_pc is not None:
-            boundaries.add(dec.reconv_pc)
-
-    superblocks: list[Superblock] = []
-    run: list[DecodedInst] = []
-
-    def flush() -> None:
-        if len(run) >= _SB_MIN_RUN:
-            sb = Superblock(len(superblocks), run)
-            superblocks.append(sb)
-            for i, d in enumerate(run):
-                d.sb = sb
-                d.sb_pos = i
-        run.clear()
-
-    for inst in program.instructions:
-        dec = by_pc[inst.pc]
-        if inst.pc in boundaries or (run and run[-1].fallthrough != inst.pc):
-            flush()
-        if dec.kind == K_SEQ and dec.opcode is not Opcode.FENCE:
-            run.append(dec)
-        else:
-            flush()
-    flush()
-    return tuple(superblocks)
-
-
 class DecodedProgram:
     """The complete pre-decoded image of one program."""
 
-    __slots__ = ("by_pc", "entry", "fingerprint", "superblocks", "spec_token")
+    __slots__ = ("by_pc", "entry", "fingerprint", "spec_token")
 
     def __init__(self, by_pc: dict[int, DecodedInst], entry: int,
-                 fingerprint: str, superblocks: tuple = ()):
+                 fingerprint: str):
         self.by_pc = by_pc
         self.entry = entry
         self.fingerprint = fingerprint
-        self.superblocks = superblocks
         # Set (to the fingerprint) once specialized ops are attached, so
         # sibling plans for other policies skip recompilation.
         self.spec_token = None
@@ -318,10 +213,7 @@ def decode_program(program: "Program", config: "CoreConfig") -> DecodedProgram:
         by_pc[inst.pc] = DecodedInst(
             inst, kind, port, latency, reconv_of.get(inst.pc)
         )
-    superblocks = _partition_superblocks(program, by_pc)
-    return DecodedProgram(
-        by_pc, program.entry, program_fingerprint(program), superblocks
-    )
+    return DecodedProgram(by_pc, program.entry, program_fingerprint(program))
 
 
 #: Process-level image cache: (program fingerprint, latency profile) -> image.

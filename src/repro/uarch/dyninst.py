@@ -125,10 +125,6 @@ class DynInst:
     consumers: list = field(default_factory=list)
     squashed: bool = False
     propagated: bool = False  # value visible to dependents (NDA defers this)
-    # Fetched via a superblock fast path.  Diagnostic only (feeds the
-    # profile hit-rate metric, which must live off CoreStats: the fast and
-    # slow front ends are bit-identical, this flag is what differs).
-    sb_fast: bool = False
 
     def __post_init__(self) -> None:
         self.opcode = self.inst.opcode
@@ -211,14 +207,13 @@ class DynInst:
         self.consumers.clear()
         self.squashed = False
         self.propagated = False
-        self.sb_fast = False
 
     def reset_light(self, seq: int, dec, fetch_cycle: int) -> None:
         """Reinitialize a record recycled straight from the fetch queue.
 
         A squashed FETCHED record was never renamed, issued, or executed:
         the only fields a fetch stage can touch are the identity fields,
-        ``control_deps``/``sb_fast``, ``checkpoint``, and — for control
+        ``control_deps``, ``checkpoint``, and — for control
         instructions — the prediction fields (left stale under the same
         write-before-read contract :meth:`reset` documents).  Everything
         else still holds its construction default, so restoring just these
@@ -236,7 +231,6 @@ class DynInst:
         self.checkpoint = None
         self.control_deps = EMPTY
         self.squashed = False
-        self.sb_fast = False
 
     # ------------------------------------------------------------- operands
     def value_of_src1(self) -> int:

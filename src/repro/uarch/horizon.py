@@ -49,8 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: circular import at module load).
 WATCHDOG_CYCLES = 100_000
 
-_EMPTY_DEPS: frozenset[int] = frozenset()
-
 
 class WarpStats:
     """Diagnostics of the event-horizon engine (not part of CoreStats).
@@ -159,13 +157,7 @@ def warp_to_horizon(core: "OooCore", limit: int) -> int:
                 horizon = resume
                 reason = "icache"
         elif len(fetch_queue) < cfg.fetch_queue_size:
-            # Fetch would make progress.  If the only possible progress for
-            # several cycles is streaming straight-line superblock fetch
-            # (scheduler quiet, dispatch idle), run those fetch packets
-            # back-to-back here instead of stepping cycle by cycle.
-            if dispatch_stall == 0 and core._superblock:
-                return _stream_superblocks(core, cycle, horizon)
-            return 0
+            return 0  # fetch would make progress
 
     skipped = horizon - cycle
     if skipped <= 0:
@@ -187,97 +179,3 @@ def warp_to_horizon(core: "OooCore", limit: int) -> int:
     warp_stats.cycles_skipped += skipped
     warp_stats.reasons[reason] = warp_stats.reasons.get(reason, 0) + 1
     return skipped
-
-
-def _stream_superblocks(core: "OooCore", cycle: int, horizon: int) -> int:
-    """Run consecutive fetch-only cycles of one superblock in a tight loop.
-
-    Preconditions (established by :func:`warp_to_horizon` before the call):
-    no retry event, empty ready heap, no completion due, ROB head neither
-    completed nor a serialized head, dispatch idle (queue empty or head not
-    yet through the front-end pipe — never structurally stalled, whose
-    per-cycle stall stats streaming does not model), and fetch unblocked
-    with queue space.  Under those conditions every cycle until ``horizon``
-    executes *only* the fetch stage, so calling the superblock's generated
-    fetch op once per cycle — with the true cycle number, preserving
-    I-cache access order/timing — is bit-identical to stepping.
-
-    ``horizon`` already bounds at limit/watchdog/completion-due and, when
-    the queue is non-empty, the head's dispatch-ripeness cycle; an empty
-    queue is bounded by the first streamed packet's own ripeness.  The
-    stream additionally stops at the queue's capacity, the superblock's
-    terminator (both handled by full-packet bounding), and any L1I miss
-    (that cycle still fetched its pre-miss prefix; the refill timer then
-    blocks fetch exactly as in the stepped run).
-
-    Returns the number of cycles consumed (0 = not eligible, step normally).
-    """
-    dec = core._decoded.by_pc.get(core.fetch_pc)
-    if dec is None:
-        return 0
-    sb = dec.sb
-    if sb is None:
-        return 0
-    cfg = core.config
-    width = cfg.fetch_width
-    pos = dec.sb_pos
-    fq = core.fetch_queue
-    if not fq:
-        ripe = cycle + cfg.frontend_latency
-        if ripe < horizon:
-            horizon = ripe
-    k = horizon - cycle
-    bound = (cfg.fetch_queue_size - len(fq)) // width
-    if bound < k:
-        k = bound
-    bound = (sb.n - pos) // width
-    if bound < k:
-        k = bound
-    if k < 2:
-        return 0  # a single eligible cycle is just a normal step
-
-    # Entry-PC region close + control deps, exactly as _fetch computes once
-    # per packet; interior PCs are never reconvergence points and no branch
-    # is fetched while streaming, so the dep set is constant throughout.
-    pc = core.fetch_pc
-    deps = _EMPTY_DEPS
-    regions = core.active_regions
-    if regions:
-        if pc in core._reconv_live:
-            core.active_regions = regions = [
-                entry for entry in regions if entry[1] != pc
-            ]
-            core._reconv_live.discard(pc)
-            core._live_deps = None
-        if regions:
-            deps = core._live_deps
-            if deps is None:
-                deps = core._live_deps = frozenset(
-                    r[0] for r in regions if r[2]
-                )
-
-    fop = sb.fop
-    line_bits = core._line_bits
-    last_line = core._last_fetch_line
-    c = cycle
-    end = cycle + k
-    stalled = 0
-    while c < end:
-        pos, _, last_line, stalled = fop(
-            core, fq, c, width, width, pos, deps, last_line, line_bits
-        )
-        c += 1
-        if stalled:
-            break  # L1I miss: _fetch_resume_cycle is set; stop streaming
-    core._cycle = c
-    core.fetch_pc = sb.pcs[pos] if pos < sb.n else sb.next_pc
-    core._last_fetch_line = last_line
-
-    streamed = c - cycle
-    warp_stats = core.warp_stats
-    warp_stats.warps += 1
-    warp_stats.cycles_skipped += streamed
-    warp_stats.reasons["superblock"] = (
-        warp_stats.reasons.get("superblock", 0) + 1
-    )
-    return streamed

@@ -36,7 +36,6 @@ workload and policy.
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
 from collections import OrderedDict
@@ -45,7 +44,6 @@ from typing import TYPE_CHECKING
 from ..functional.semantics import _div, _rem
 from ..isa import INSTRUCTION_BYTES, WORD_MASK, Opcode
 from ..secure.policy import SpeculationPolicy
-from .dyninst import Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..secure.policy import SpeculationPolicy as _Policy
@@ -222,201 +220,10 @@ def _emit_ops_source(image: "DecodedProgram") -> tuple[str, dict[int, tuple]]:
     return "\n".join(lines), names
 
 
-def _emit_superblock_source(
-    image: "DecodedProgram",
-) -> tuple[list[str], dict]:
-    """Generated fetch/dispatch functions, one pair per superblock.
-
-    ``_sbf_<i>(core, fq, cycle, budget, space, pos, deps, last_line,
-    line_bits)`` fetches the run from ``pos`` — per-PC dict lookups, kind
-    dispatch, and the region-close scan are all folded away (interior PCs
-    are provably never reconvergence points), with the I-cache access
-    replicated line-for-line from the interpreted loop.  Returns
-    ``(pos, budget_left, last_line, stalled)``.
-
-    ``_sbd_<i>(core, fq, rob, cycle, ripe, width, rob_space, iq_space,
-    lq_space, sq_space, pos)`` dispatches + renames queued run instructions
-    with the checkpoint / unresolved-control / HALT / fence logic folded
-    away (interiors are plain by construction) and the rename operand
-    numbers pre-extracted.  Returns ``(dispatched, stall_code, lq_used,
-    sq_used)`` with stall codes 0 = ran dry, 1 = head not ripe,
-    2/3/4 = ROB/IQ/LSQ full, mirroring the interpreted loop's first-blocked
-    accounting.
-
-    Both are shared across cores via the image; nothing cycle- or
-    config-dependent is folded in (the cache key only covers latencies).
-    """
-    lines: list[str] = []
-    consts: dict = {}
-    for sb in image.superblocks:
-        i = sb.index
-        consts[f"_SBP{i}"] = sb.pcs
-        consts[f"_SBI{i}"] = sb.decs
-        consts[f"_SBM{i}"] = sb.meta
-        n = sb.n
-        lines += [
-            f"def _sbf_{i}(core, fq, cycle, budget, space, pos, deps, "
-            "last_line, line_bits):",
-            f"    pcs = _SBP{i}",
-            f"    decs = _SBI{i}",
-            "    lpool = core._dyn_pool_light",
-            "    pool = core._dyn_pool",
-            "    hfetch = core.hierarchy.fetch",
-            "    fqa = fq.append",
-            "    seq = core._next_seq",
-            "    end = pos + (budget if budget < space else space)",
-            f"    if end > {n}:",
-            f"        end = {n}",
-            "    start = pos",
-            "    stall = 0",
-            "    while pos < end:",
-            "        pc = pcs[pos]",
-            "        line = pc >> line_bits",
-            "        if line != last_line:",
-            "            ready = hfetch(pc, cycle)",
-            "            last_line = line",
-            "            if ready > cycle:",
-            "                core._fetch_resume_cycle = ready",
-            "                stall = 1",
-            "                break",
-            "        if lpool:",
-            "            dyn = lpool.pop()",
-            "            dyn.reset_light(seq, decs[pos], cycle)",
-            "        elif pool:",
-            "            dyn = pool.pop()",
-            "            dyn.reset(seq, decs[pos], cycle)",
-            "        else:",
-            "            dyn = core._alloc_dyn_slow(seq, decs[pos], cycle)",
-            "        dyn.sb_fast = True",
-            "        if deps:",
-            "            dyn.control_deps = deps",
-            "        fqa(dyn)",
-            "        seq += 1",
-            "        pos += 1",
-            "    fetched = pos - start",
-            "    if fetched:",
-            "        core._next_seq = seq",
-            "        core.stats.fetched += fetched",
-            "        core._sb_fetched += fetched",
-            "    return pos, budget - fetched, last_line, stall",
-        ]
-        has_mem = sb.has_mem
-        lines += [
-            f"def _sbd_{i}(core, fq, rob, cycle, ripe, width, rob_space, "
-            "iq_space, lq_space, sq_space, pos):",
-            f"    meta = _SBM{i}",
-            "    rename_map = core.rename_map",
-            "    arf = core.arf",
-            "    arf_taint = core.arf_taint",
-            "    ready = core.ready",
-            "    popleft = fq.popleft",
-            "    roba = rob.append",
-        ]
-        if has_mem:
-            lines += [
-                "    inflight = core.inflight_loads",
-                "    sqa = core.store_queue.append",
-            ]
-        lines += [
-            "    d = 0",
-            "    lq_used = 0",
-            "    sq_used = 0",
-            "    code = 0",
-            f"    while pos < {n} and fq:",
-            "        if d >= width:",
-            "            break",
-            "        dyn = fq[0]",
-            "        if dyn.fetch_cycle > ripe:",
-            "            code = 1",
-            "            break",
-            "        if rob_space <= 0:",
-            "            code = 2",
-            "            break",
-            "        if iq_space <= 0:",
-            "            code = 3",
-            "            break",
-            "        rs1, rs2, dest, cls = meta[pos]",
-        ]
-        if has_mem:
-            lines += [
-                "        if cls == 1:",
-                "            if lq_space <= 0:",
-                "                code = 4",
-                "                break",
-                "        elif cls == 2:",
-                "            if sq_space <= 0:",
-                "                code = 4",
-                "                break",
-            ]
-        lines += [
-            "        popleft()",
-            "        d += 1",
-            "        pos += 1",
-            "        rob_space -= 1",
-            "        iq_space -= 1",
-            "        dyn.stage = _DISP",
-            "        dyn.dispatch_cycle = cycle",
-            "        w = 0",
-            "        e = 0",
-            "        if rs1 >= 0:",
-            "            producer = rename_map[rs1]",
-            "            if producer is not None:",
-            "                dyn.src1_producer = producer",
-            "                if not producer.propagated:",
-            "                    w = 1",
-            "                    e = 1",
-            "                    producer.consumers.append(dyn)",
-            "            else:",
-            "                dyn.src1_value = arf[rs1]",
-            "                dyn.src1_arf_tainted = arf_taint[rs1]",
-            "        if rs2 >= 0:",
-            "            producer = rename_map[rs2]",
-            "            if producer is not None:",
-            "                dyn.src2_producer = producer",
-            "                if not producer.propagated:",
-            "                    w += 1",
-            "                    e |= 2",
-            "                    producer.consumers.append(dyn)",
-            "            else:",
-            "                dyn.src2_value = arf[rs2]",
-            "                dyn.src2_arf_tainted = arf_taint[rs2]",
-            "        if dest >= 0:",
-            "            rename_map[dest] = dyn",
-            "        roba(dyn)",
-        ]
-        if has_mem:
-            lines += [
-                "        if cls == 1:",
-                "            lq_space -= 1",
-                "            lq_used += 1",
-                "            inflight[dyn.seq] = dyn",
-                "        elif cls == 2:",
-                "            sq_space -= 1",
-                "            sq_used += 1",
-                "            sqa(dyn)",
-            ]
-        lines += [
-            "        if w:",
-            "            dyn.waiting_on = w",
-            "            dyn.enlisted = e",
-            "        else:",
-            "            _push(ready, (dyn.seq, dyn))",
-            "    return d, code, lq_used, sq_used",
-        ]
-    return lines, consts
-
-
 def _attach_ops(image: "DecodedProgram") -> int:
     """Compile and attach the per-PC ops to ``image``; returns fn count."""
     source, names = _emit_ops_source(image)
-    sb_lines, sb_consts = _emit_superblock_source(image)
-    if sb_lines:
-        source = source + "\n" + "\n".join(sb_lines)
-    namespace: dict = {
-        "_div": _div, "_rem": _rem,
-        "_DISP": Stage.DISPATCHED, "_push": heapq.heappush,
-    }
-    namespace.update(sb_consts)
+    namespace: dict = {"_div": _div, "_rem": _rem}
     exec(  # noqa: S102 - generated from the trusted decoded image only
         compile(source, f"<specialized:{image.fingerprint[:12]}>", "exec"),
         namespace,
@@ -430,12 +237,8 @@ def _attach_ops(image: "DecodedProgram") -> int:
             dec.aop = namespace[aop_name]
         if ext_name is not None:
             dec.ext = namespace[ext_name]
-    for sb in image.superblocks:
-        sb.fop = namespace[f"_sbf_{sb.index}"]
-        sb.dop = namespace[f"_sbd_{sb.index}"]
     return sum(
-        1 for name in namespace
-        if name.startswith(("_x_", "_addr_", "_ext_", "_sbf_", "_sbd_"))
+        1 for name in namespace if name.startswith(("_x_", "_addr_", "_ext_"))
     )
 
 
@@ -466,17 +269,6 @@ _STATS = {"hits": 0, "misses": 0, "codegen_ns": 0, "fn_count": 0}
 def specialize_enabled() -> bool:
     """Process-level default for the ``specialize`` core knob."""
     return os.environ.get("REPRO_NO_SPECIALIZE") != "1"
-
-
-def superblock_enabled() -> bool:
-    """Process-level default for the ``superblock`` core knob.
-
-    Gates *use* of the generated superblock fetch/dispatch ops, not their
-    compilation: they are attached together with the per-PC ops (one shared
-    image serves cores in either mode), and a core only takes the fast path
-    when both ``specialize`` and ``superblock`` are on.
-    """
-    return os.environ.get("REPRO_NO_SUPERBLOCK") != "1"
 
 
 def specialized_image(

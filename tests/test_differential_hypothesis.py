@@ -11,7 +11,6 @@ squash/rename/forwarding/gating interactions.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.asm import assemble

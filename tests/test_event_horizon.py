@@ -1,20 +1,26 @@
-"""Event-horizon cycle skipping: bit-identical equivalence + safety.
+"""Fast-path equivalence harness + event-horizon safety.
 
-The engine in :mod:`repro.uarch.horizon` warps ``self._cycle`` over quiet
-stretches (and the DynInst free list recycles committed records), so the
-contract is absolute: a warped run must be *bit-identical* to a stepped
-run — same cycle count, same CoreStats, same architectural registers,
-same memory-hierarchy counters — for every workload and every policy.
+The core's bit-invisible fast paths — event-horizon cycle skipping
+(:mod:`repro.uarch.horizon`), the DynInst free list and per-PC
+specialization (:mod:`repro.uarch.specialize`) — share one contract: a
+run with them on must be *bit-identical* to the all-off interpreted
+reference — same cycle count, same CoreStats, same architectural
+registers, same memory-hierarchy counters — for every workload and every
+policy.
 
-Three layers of defense here:
+Layers of defense here:
 
-* the full SPEClite suite x every policy, fast mode vs reference mode
-  (``cycle_skip=False, recycle_dyninsts=False``);
+* the full SPEClite suite x every policy, all fast paths on vs the
+  all-off reference from the shared harness in ``tests/fastpath.py``
+  (which ``tests/test_specialize.py`` reuses for its specialize-only arm);
 * a hypothesis property over random programs *and* random core
   geometries, with an instrumented warp asserting the engine never skips
   past a scheduled completion; and
 * timeout equivalence — both modes must raise the same enriched
   :class:`SimulationTimeout` at the same limit.
+
+Specialization's own properties and plan-cache behaviour live in
+``tests/test_specialize.py``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from repro.testing import programs
 from repro.uarch import CoreConfig, OooCore
 from repro.workloads import WORKLOAD_NAMES, build_workload
 
+from .fastpath import assert_arm_matches_reference
+
 POLICIES = tuple(sorted(ALL_POLICY_NAMES))
 
 #: Workloads whose test-scale runs are dominated by DRAM-latency waits, so
@@ -37,34 +45,11 @@ POLICIES = tuple(sorted(ALL_POLICY_NAMES))
 MEMORY_BOUND = ("pchase", "gather", "treewalk", "listupd")
 
 
-def _run_pair(program, policy_name, config=None, max_cycles=5_000_000):
-    fast = OooCore(
-        program, config=config, policy=make_policy(policy_name)
-    )
-    ref = OooCore(
-        program,
-        config=config,
-        policy=make_policy(policy_name),
-        cycle_skip=False,
-        recycle_dyninsts=False,
-    )
-    return fast, fast.run(max_cycles=max_cycles), ref.run(max_cycles=max_cycles)
-
-
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_suite_equivalence_under_every_policy(name):
-    """Fast mode is bit-identical to stepped mode: stats, regs, memory."""
-    workload = build_workload(name, "test")
-    program = workload.assemble()
-    for policy_name in POLICIES:
-        fast_core, fast, ref = _run_pair(program, policy_name)
-        label = f"{name}/{policy_name}"
-        assert fast.stats == ref.stats, label
-        assert fast.regs == ref.regs, label
-        assert fast.stats_dict() == ref.stats_dict(), label
-        assert workload.validate(fast.regs), label
-        # Reference mode must really be stepping.
-        assert fast_core.warp_stats.warps >= 0  # engine present
+    """All fast paths on is bit-identical to the interpreted reference:
+    stats, regs, memory counters."""
+    fast = assert_arm_matches_reference(name, "all-on")
     # The warp counters are diagnostics, not simulated state: they must
     # never leak into CoreStats (that would break the equality above).
     assert not hasattr(fast.stats, "cycles_skipped")

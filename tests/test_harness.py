@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.harness import ExperimentRunner, format_percent, format_table, geomean
 from repro.harness.experiments import EXPERIMENTS, table1
 

@@ -84,19 +84,25 @@ def test_lockstep_never_diverges(composition):
         assert records[key] == _single(workload, policy), key
 
 
-@pytest.mark.parametrize("slice_cycles", [7, 64, 130, 1021, 10**9])
-def test_slice_quantum_is_invisible(slice_cycles):
+@pytest.mark.parametrize(
+    "name,slice_cycles",
+    [pytest.param("gather", q, id=str(q)) for q in (7, 64, 130, 1021, 10**9)]
+    + [pytest.param("branchy", 7, id="branchy-7")],
+)
+def test_slice_quantum_is_invisible(name, slice_cycles):
     """The round-robin quantum is pure scheduling: any slice size yields
     the same stats/regs as an unsliced run.  The tiny odd quanta land
-    pause points mid-superblock, so the resumable-slice path must not
-    observe the generated front end's packet boundaries."""
-    program = build_workload("gather", "test").assemble()
+    pause points mid fetch packet and, on the branch-dense kernel, inside
+    open control-dependence regions, so the resumable ``advance(limit,
+    stop_cycle)`` path must not observe either boundary."""
+    program = build_workload(name, "test").assemble()
     direct = OooCore(program, policy=make_policy("levioso")).run()
     core = OooCore(program, policy=make_policy("levioso"))
     limit = CoreConfig().max_cycles
     results = run_lockstep([("only", core, limit)], slice_cycles)
     assert results["only"].stats == direct.stats
     assert results["only"].regs == direct.regs
+    assert results["only"].stats_dict() == direct.stats_dict()
 
 
 def test_timeout_mid_batch_names_the_guilty_point():

@@ -20,7 +20,7 @@ from repro.compiler.rewriter import ProgramRewriter, image_fingerprint
 from repro.errors import AnalysisError
 from repro.functional import run_program
 from repro.harness.cache import ResultCache, workload_fingerprint
-from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.harness.runner import ExperimentRunner
 from repro.isa import Opcode
 from repro.service.jobs import is_valid_workload
 from repro.workloads import WORKLOAD_NAMES, build_workload

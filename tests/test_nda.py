@@ -1,7 +1,5 @@
 """NDA propagation-blocking policy: mechanism, security, correctness."""
 
-import pytest
-
 from repro.asm import assemble
 from repro.attacks import run_attack
 from repro.functional import run_program

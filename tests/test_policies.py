@@ -3,7 +3,7 @@
 import pytest
 
 from repro.functional import run_program
-from repro.secure import ALL_POLICY_NAMES, make_policy
+from repro.secure import make_policy
 from repro.uarch import OooCore
 from repro.workloads import build_workload
 

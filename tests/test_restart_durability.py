@@ -68,9 +68,28 @@ def _spawn_daemon(cache_dir: Path, log_path: Path) -> tuple:
     raise AssertionError(f"daemon never announced its port; see {log_path}")
 
 
+def _children(pid: int) -> set[int]:
+    """PIDs of the live children of every thread of ``pid``."""
+    kids: set[int] = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        text = (task / "children").read_text()
+        kids.update(int(tok) for tok in text.split())
+    return kids
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
 def test_daemon_restart_serves_completed_keys_from_disk(tmp_path):
     cache_dir = tmp_path / "cache"
     proc, url = _spawn_daemon(cache_dir, tmp_path / "serve1.log")
+    workers: set[int] = set()
     try:
         client = ServiceClient(url)
         first = client.run_grid(RUNS, timeout=120.0)
@@ -80,9 +99,22 @@ def test_daemon_restart_serves_completed_keys_from_disk(tmp_path):
             for j, r in first
         }
         assert not any(j["cached"] for j, _ in first)
+        workers = _children(proc.pid)
+        assert workers, "the daemon simulated without a pool worker"
     finally:
         proc.kill()         # SIGKILL: no drain, no atexit, no flush
     assert proc.wait(timeout=30) == -signal.SIGKILL
+    # Orphaned pool workers must notice their owner died and exit.
+    try:
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.1)
+        survivors = sorted(pid for pid in workers if _running(pid))
+        assert not survivors, f"pool workers outlived the daemon: {survivors}"
+    finally:
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
     proc, url = _spawn_daemon(cache_dir, tmp_path / "serve2.log")
     try:

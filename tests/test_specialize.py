@@ -5,8 +5,10 @@ interpreted execute/address/extend paths, so the contract is the same as
 the event-horizon engine's: a specialized run must be *bit-identical* to
 the fully-interpreted reference run — same CoreStats, same architectural
 registers, same memory-hierarchy counters — for every workload and every
-policy, plus a hypothesis property over random programs and random core
-geometries, and timeout equivalence.
+policy (the specialize-only arm of the shared harness in
+``tests/fastpath.py``, whose reference runs ``tests/test_event_horizon.py``
+reuses), plus a hypothesis property over random programs and random core
+geometries, timeout equivalence and the plan-cache tests.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.uarch import CoreConfig, OooCore
 from repro.uarch.decoded import decoded_image
 from repro.uarch.specialize import spec_cache_info, specialized_image
 from repro.workloads import WORKLOAD_NAMES, build_workload
+
+from .fastpath import assert_arm_matches_reference
 
 POLICIES = tuple(sorted(ALL_POLICY_NAMES))
 
@@ -39,22 +43,10 @@ def _reference(program, policy_name, config=None, max_cycles=5_000_000):
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_suite_equivalence_under_every_policy(name):
-    """Specialized fast mode is bit-identical to the interpreted reference
-    across the whole suite x policy grid."""
-    workload = build_workload(name, "test")
-    program = workload.assemble()
-    for policy_name in POLICIES:
-        core = OooCore(
-            program, policy=make_policy(policy_name), specialize=True
-        )
-        assert core._specialize
-        spec = core.run(max_cycles=5_000_000)
-        ref = _reference(program, policy_name)
-        label = f"{name}/{policy_name}"
-        assert spec.stats == ref.stats, label
-        assert spec.regs == ref.regs, label
-        assert spec.stats_dict() == ref.stats_dict(), label
-        assert workload.validate(spec.regs), label
+    """Specialized per-PC ops alone (cycle skip and pool off) are
+    bit-identical to the interpreted reference across the suite x policy
+    grid."""
+    assert_arm_matches_reference(name, "specialize-only")
 
 
 @st.composite

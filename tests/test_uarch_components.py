@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import assemble
-from repro.errors import ConfigError, SimulationError, TimeoutError_
+from repro.errors import ConfigError, TimeoutError_
 from repro.secure import make_policy
 from repro.uarch import CoreConfig, CoreStats, OooCore
 
