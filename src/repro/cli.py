@@ -639,7 +639,6 @@ def cmd_coordinate(args) -> int:
         "port": args.port,
         "max_flights": args.max_flights,
         "drain_timeout": args.drain_timeout,
-        "local_fallback": not args.no_local_fallback,
     }
     if args.nodes:
         overrides["nodes"] = tuple(args.nodes)
@@ -1039,9 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECS",
                    help="grace period for in-flight work on SIGTERM "
                    "(default: 60)")
-    p.add_argument("--no-local-fallback", action="store_true",
-                   help="fail jobs instead of simulating in-process when "
-                   "zero nodes are routable")
     p.set_defaults(func=cmd_coordinate)
 
     p = sub.add_parser(

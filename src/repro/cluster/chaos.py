@@ -4,13 +4,13 @@
 service drills: with a *seeded* fault plan installed, a real coordinator
 routes a duplicated grid across real worker subprocesses while
 
-* one worker is SIGKILLed by a ``node_kill`` fault on a specific
-  heartbeat (deterministically mid-campaign — the fault key is
-  ``"{node_id}/hb{seq}"``), and
-* another worker is partitioned by a ``heartbeat_loss`` fault — its
-  membership loop goes silent long enough to be declared dead while the
-  process keeps running (orphaned jobs keep simulating; wasted, never
-  wrong).
+* one worker is SIGKILLed by a ``node_kill`` fault as it admits its
+  first flight (deterministically mid-campaign — the fault key is
+  ``"{node_id}/job{n}"``), and
+* another worker is partitioned by a ``heartbeat_loss`` fault on its
+  first flight — its membership loop goes silent long enough to be
+  declared dead while the process keeps running (orphaned jobs keep
+  simulating; wasted, never wrong).
 
 The fleet walks the whole degradation ladder — failover to the
 surviving shard, then (both nodes unroutable) in-process serial
@@ -45,20 +45,21 @@ NODE_TIMEOUT = 2.0
 
 def cluster_chaos_plan(seed: int = 0,
                        state_dir: str | Path | None = None) -> FaultPlan:
-    """Partition w2 early, SIGKILL w1 a beat later.
+    """Partition w2 and SIGKILL w1, each as it admits its first flight.
 
-    Beat 4 lands ~2s into the worker's life — inside the campaign for
-    any grid that keeps a one-core fleet busy a few seconds.  The
-    partition outlives the campaign (``hang_seconds``) so the fleet
-    really shrinks to zero and the local-fallback path runs.
+    Both faults are keyed on admitted work, so they land inside the
+    campaign however fast the simulator is: w1 dies with a forward in
+    flight (a failover is certain), and w2 goes silent while it holds
+    work.  The partition outlives the campaign (``hang_seconds``) so the
+    fleet really shrinks to zero and the local-fallback path runs.
     """
     return FaultPlan(
         seed=seed,
         state_dir=state_dir,
         specs=[
-            FaultSpec(site="node", kind="heartbeat_loss", match="w2/hb4",
+            FaultSpec(site="node", kind="heartbeat_loss", match="w2/job1",
                       times=1, hang_seconds=8.0),
-            FaultSpec(site="node", kind="node_kill", match="w1/hb6",
+            FaultSpec(site="node", kind="node_kill", match="w1/job1",
                       times=1),
         ],
     )
@@ -73,18 +74,18 @@ def _spawn_worker(node_id: str, coordinator_url: str, log_path: Path,
     env = dict(os.environ)
     pkg_root = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    log = open(log_path, "w")
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--jobs", "1", "--retries", "3",
-            "--cache-dir", str(cache_dir / node_id),
-            "--register", coordinator_url,
-            "--node-id", node_id,
-            "--heartbeat-interval", str(HEARTBEAT),
-        ],
-        stdout=log, stderr=subprocess.STDOUT, env=env,
-    )
+    with open(log_path, "w") as log:   # the child keeps its own copy
+        return subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--port", "0", "--jobs", "1", "--retries", "3",
+                "--cache-dir", str(cache_dir / node_id),
+                "--register", coordinator_url,
+                "--node-id", node_id,
+                "--heartbeat-interval", str(HEARTBEAT),
+            ],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+        )
 
 
 def cluster_chaos_smoke(

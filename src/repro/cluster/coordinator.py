@@ -1,7 +1,9 @@
 """The cluster coordinator daemon behind ``repro coordinate``.
 
-Speaks the *same* client-facing API as a single ``repro serve`` daemon
-(POST/GET ``/v1/runs``, ``/healthz``, ``/metrics``) — an existing
+The coordinator *is* the single-node front end
+(:class:`~repro.service.frontend.Frontend`: POST/GET ``/v1/runs``,
+``/healthz``, ``/metrics``, admission, coalescing, drain) with a
+different flight executor — an existing
 :class:`~repro.service.client.ServiceClient` pointed at a coordinator
 cannot tell the difference — plus the fleet-facing membership surface::
 
@@ -20,18 +22,23 @@ it.  One *cluster flight* exists per unresolved key no matter how many
 clients ask (cluster-wide coalescing); each flight runs as one asyncio
 task that forwards the request, polls the worker, and owns failover.
 
-Failure model, reusing the charged/uncharged taxonomy of PR 3/5:
+Failure model, reusing the batch harness's charged/uncharged taxonomy:
 
 * a worker answering 4xx/5xx for the *job itself* is a **charged**
   failure — the worker already burned its own retry budget;
 * a node dying under a flight (connection failure, heartbeat timeout,
   a poll meeting a new incarnation) is **uncharged** — the flight is
   resubmitted to the next surviving shard, bounded by
-  ``max_failovers`` only as a runaway guard;
+  :data:`MAX_FAILOVERS` only as a runaway guard;
 * zero routable nodes degrades the coordinator to a serial in-process
   executor, so the cluster keeps answering (slowly) through a full
   fleet outage — the same ladder the single-node pool walks when it
   degrades to serial.
+
+Static nodes (``--nodes`` / ``$REPRO_CLUSTER_NODES``) never heartbeat;
+the monitor probes their ``/healthz`` every sweep whatever their state,
+so a static node that was down when the coordinator started — or died
+later — rejoins the ring on its first healthy answer.
 
 Simulations are pure functions of the content key, so reroutes, orphan
 re-executions and local fallback can never change a result —
@@ -43,44 +50,36 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures as cf
 import dataclasses
+import json
 import os
-import signal
-import sys
-import threading
 import time
 import traceback
 
-from .. import __version__
+from ..harness.cache import ResultCache
 from ..harness.resilience import simulate_point
 from ..harness.runner import RunRecord
-from ..service.httpd import HttpError, JsonHttpServer, json_bytes
-from ..service.jobs import (
-    DONE,
-    FAILED,
-    RUNNING,
-    BadRequest,
-    BatchTooLarge,
-    Job,
-    JobStore,
-    RunKeyer,
-    RunRequest,
-    parse_submission,
+from ..service.frontend import (
+    Frontend,
+    FrontendThread,
+    default_heartbeat_interval,
+    env_seconds,
 )
-from ..service.metrics import MetricsRegistry
+from ..service.httpd import HttpError, json_bytes
+from ..service.jobs import DONE, FAILED, RUNNING, Flight
 from ..service.queue import QueueFull
 from .federation import render_federated
 from .membership import ALIVE, DEAD, SUSPECT, Membership, Node
 from .ring import HashRing
-from .transport import request_json
+from .transport import request, request_json
 
-MAX_BATCH = 1024
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ[name])
-    except (KeyError, ValueError):
-        return default
+#: Uncharged reroutes per flight before it fails (runaway guard).
+MAX_FAILOVERS = 16
+#: 429-from-worker waits before rerouting a flight elsewhere.
+SUBMIT_RETRIES = 20
+#: Worker job-status poll cadence, seconds.
+POLL_INTERVAL = 0.05
+#: Budget of one intra-cluster HTTP call, seconds.
+REQUEST_TIMEOUT = 10.0
 
 
 def _env_nodes() -> tuple[str, ...]:
@@ -98,17 +97,11 @@ class CoordinatorConfig:
     #: heartbeat); dynamic workers self-register on top of these.
     nodes: tuple[str, ...] = dataclasses.field(default_factory=_env_nodes)
     heartbeat_interval: float = dataclasses.field(
-        default_factory=lambda: _env_float("REPRO_HEARTBEAT_INTERVAL", 1.0))
+        default_factory=default_heartbeat_interval)
     node_timeout: float = dataclasses.field(
-        default_factory=lambda: _env_float("REPRO_NODE_TIMEOUT", 5.0))
+        default_factory=lambda: env_seconds("REPRO_NODE_TIMEOUT", 5.0))
     max_flights: int = 256         # open-flight admission cap (backpressure)
-    max_failovers: int = 16        # uncharged reroutes per flight (runaway guard)
-    submit_retries: int = 20       # 429-from-worker waits before rerouting
-    poll_interval: float = 0.05    # worker job-status poll cadence
-    request_timeout: float = 10.0  # per intra-cluster HTTP call
     drain_timeout: float = 60.0    # grace period on SIGTERM
-    history: int = 4096            # completed jobs kept addressable
-    local_fallback: bool = True    # serial in-process execution at 0 nodes
 
 
 class _NodeFailure(Exception):
@@ -121,68 +114,42 @@ class _NodeFailure(Exception):
 
 
 @dataclasses.dataclass
-class ClusterFlight:
-    """One unresolved content key and every job coalesced onto it."""
+class ClusterFlight(Flight):
+    """A :class:`~repro.service.jobs.Flight` plus its routing state."""
 
-    key: str
-    request: RunRequest
-    jobs: list[Job] = dataclasses.field(default_factory=list)
     node_id: str | None = None     # current assignment (None: local/unplaced)
     remote_id: str | None = None   # worker-side job id of the live attempt
     failovers: int = 0             # uncharged reroutes so far
-    abandoned: asyncio.Event = dataclasses.field(
+    node_lost: asyncio.Event = dataclasses.field(
         default_factory=asyncio.Event)
 
-    def attach(self, job: Job) -> None:
-        self.jobs.append(job)
-        job.flight = self  # type: ignore[assignment]
 
-
-class ClusterCoordinator(JsonHttpServer):
-    """Owns membership, the ring, global flights and the HTTP front end."""
+class ClusterCoordinator(Frontend):
+    """The shared front end over a consistent-hash ring of workers."""
 
     server_label = "repro-coordinate"
+    name = "repro coordinate"
+    noun = "coordinator"
+    metric_prefix = "repro_cluster"
+    coalesced_family = (
+        "repro_cluster_cross_node_coalesced_total",
+        "Jobs attached to a key already in flight somewhere in the "
+        "fleet (cluster-wide coalescing).")
+    flight_class = ClusterFlight
+    config_class = CoordinatorConfig
 
     def __init__(self, config: CoordinatorConfig | None = None,
-                 metrics: MetricsRegistry | None = None):
-        super().__init__()
-        self.config = config or CoordinatorConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.keyer = RunKeyer()
-        self.store = JobStore(history=self.config.history)
-        self.results: dict[str, RunRecord] = {}
-        self.flights: dict[str, ClusterFlight] = {}
+                 metrics=None):
+        super().__init__(config or CoordinatorConfig(), metrics)
         self.membership = Membership(
             heartbeat_interval=self.config.heartbeat_interval,
             node_timeout=self.config.node_timeout)
         self.ring = HashRing()
-        self.draining = False
-        self._stopped = asyncio.Event()
         self._monitor_task: asyncio.Task | None = None
         self._flight_tasks: set[asyncio.Task] = set()
         self._local_pool: cf.ThreadPoolExecutor | None = None
 
         m = self.metrics
-        self.m_requests = m.counter(
-            "repro_cluster_http_requests_total",
-            "HTTP requests served by the coordinator.",
-            labelnames=("endpoint", "code"))
-        self.m_submitted = m.counter(
-            "repro_cluster_jobs_submitted_total",
-            "Jobs accepted by the coordinator.")
-        self.m_coalesced = m.counter(
-            "repro_cluster_cross_node_coalesced_total",
-            "Jobs attached to a key already in flight somewhere in the "
-            "fleet (cluster-wide coalescing).")
-        self.m_cache_hits = m.counter(
-            "repro_cluster_cache_hits_total",
-            "Jobs answered from the coordinator's result store.")
-        self.m_rejected = m.counter(
-            "repro_cluster_jobs_rejected_total",
-            "Submissions rejected by flight admission (HTTP 429).")
-        self.m_completed = m.counter(
-            "repro_cluster_jobs_completed_total",
-            "Jobs reaching a terminal state.", labelnames=("state",))
         self.m_failovers = m.counter(
             "repro_cluster_failovers_total",
             "In-flight jobs rerouted off a failed node (uncharged retries).")
@@ -203,34 +170,52 @@ class ClusterCoordinator(JsonHttpServer):
         self.m_degraded = m.gauge(
             "repro_cluster_degraded",
             "1 while the fleet is empty and flights run in-process.")
-        m.gauge("repro_cluster_info", "Static coordinator metadata.",
-                labelnames=("version",)).set(1, version=__version__)
+
+    # ----------------------------------------------------------------- seam
+    def check_room(self, new_flights: int) -> None:
+        if new_flights > self.config.max_flights - len(self.flights):
+            raise QueueFull(self.config.max_flights, self._retry_after())
+
+    def launch(self, flight: ClusterFlight) -> None:
+        task = asyncio.get_running_loop().create_task(self._run_flight(flight))
+        self._flight_tasks.add(task)
+        task.add_done_callback(self._flight_tasks.discard)
+
+    def _retry_after(self) -> float:
+        """Backpressure hint: open flights per routable worker, at an
+        assumed fraction of a second per simulation."""
+        nodes = max(len(self.ring), 1)
+        return max(1.0, round(0.5 * len(self.flights) / nodes, 1))
+
+    def health(self) -> dict:
+        return {
+            "role": "coordinator",
+            "nodes": self.membership.counts(),
+            "routable": len(self.ring),
+            "open_flights": len(self.flights),
+            "degraded": bool(self.flights) and not len(self.ring),
+        }
+
+    def banner(self) -> list[str]:
+        return [f"listening on http://{self.config.host}:{self.port} "
+                f"({len(self.config.nodes)} static node(s), "
+                f"heartbeat {self.config.heartbeat_interval:g}s, "
+                f"node timeout {self.config.node_timeout:g}s)"]
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
-        await self.bind(self.config.host, self.config.port)
+        await super().start()
         for url in self.config.nodes:
             node_id = f"static:{url.rstrip('/').rsplit('/', 1)[-1]}"
             self._admit_node(node_id, url.rstrip("/"), static=True)
         self._monitor_task = asyncio.get_running_loop().create_task(
             self._monitor_loop())
 
-    async def drain_and_stop(self) -> bool:
-        """Stop admission, let open flights resolve, shut down.  True iff
-        every accepted job resolved inside the drain budget."""
-        if self.draining:
-            await self._stopped.wait()
-            return True
-        self.draining = True
-        await self.close_server()
+    async def stop_executor(self, drained: bool) -> None:
         tasks = list(self._flight_tasks)
-        drained = True
-        if tasks:
-            _done, pending = await asyncio.wait(
-                tasks, timeout=self.config.drain_timeout)
-            drained = not pending
-            for task in pending:
-                task.cancel()
+        for task in tasks:
+            task.cancel()   # each resolves its flight as cancelled
+        await asyncio.gather(*tasks, return_exceptions=True)
         if self._monitor_task is not None:
             self._monitor_task.cancel()
             try:
@@ -239,8 +224,6 @@ class ClusterCoordinator(JsonHttpServer):
                 pass
         if self._local_pool is not None:
             self._local_pool.shutdown(wait=False)
-        self._stopped.set()
-        return drained
 
     # ----------------------------------------------------------- membership
     def _admit_node(self, node_id: str, url: str, static: bool = False
@@ -248,6 +231,18 @@ class ClusterCoordinator(JsonHttpServer):
         node = self.membership.register(node_id, url, static=static)
         self.ring.add(node_id)
         self._update_node_gauges()
+        return node
+
+    def _beat(self, node_id: str, load: dict | None = None) -> Node | None:
+        """A sign of life: a heartbeat, or a static node's healthy probe.
+
+        A dead or left node is resurrected and put back on the ring;
+        ``None`` for an unknown id.
+        """
+        node = self.membership.heartbeat(node_id, load)
+        if node is not None:
+            self.ring.add(node_id)   # no-op unless it had left the ring
+            self._update_node_gauges()
         return node
 
     def _node_dead(self, node_id: str, reason: str) -> None:
@@ -260,7 +255,7 @@ class ClusterCoordinator(JsonHttpServer):
             return
         for flight in self.flights.values():
             if flight.node_id == node_id:
-                flight.abandoned.set()
+                flight.node_lost.set()
 
     def _node_left(self, node_id: str) -> Node | None:
         """Drain-aware departure: unroutable, flights NOT abandoned —
@@ -276,11 +271,11 @@ class ClusterCoordinator(JsonHttpServer):
         self.m_nodes_suspect.set(counts[SUSPECT])
 
     async def _monitor_loop(self) -> None:
-        """Sweep heartbeat timeouts; probe static nodes via /healthz."""
+        """Sweep heartbeat timeouts; probe every static node via /healthz."""
         period = max(min(self.config.heartbeat_interval / 2, 1.0), 0.05)
         while True:
             await asyncio.sleep(period)
-            statics = [n for n in self.membership.routable() if n.static]
+            statics = [n for n in self.membership.nodes.values() if n.static]
             if statics:
                 await asyncio.gather(
                     *(self._probe(node) for node in statics))
@@ -296,68 +291,7 @@ class ClusterCoordinator(JsonHttpServer):
         except (OSError, asyncio.TimeoutError):
             return  # silence counts; the sweep applies the timeout
         if status == 200:
-            self.membership.heartbeat(node.node_id)
-
-    # ------------------------------------------------------------ admission
-    def submit(self, requests: list[RunRequest]) -> list[Job]:
-        """Admit a batch (all-or-nothing).  Mirrors the single-node
-        daemon's plan-then-commit shape and runs synchronously on the
-        event loop so the plan cannot be invalidated mid-batch."""
-        if self.draining:
-            raise HttpError(503, "coordinator is draining")
-        plans: list[tuple[RunRequest, str, str]] = []
-        novel: dict[str, None] = {}
-        for request in requests:
-            key = self.keyer.key_for(request)
-            if key in novel:
-                how = "coalesce"
-            elif key in self.results:
-                how = "cached"
-            elif key in self.flights:
-                how = "coalesce"
-            else:
-                how = "new"
-                novel[key] = None
-            plans.append((request, key, how))
-        room = self.config.max_flights - len(self.flights)
-        if len(novel) > room:
-            self.m_rejected.inc(len(requests))
-            raise QueueFull(self.config.max_flights, self._retry_after())
-
-        loop = asyncio.get_running_loop()
-        jobs: list[Job] = []
-        opened: dict[str, ClusterFlight] = {}
-        for request, key, how in plans:
-            job = Job(request=request, key=key)
-            self.store.add(job)
-            self.m_submitted.inc()
-            if how == "cached":
-                job.cached = True
-                job.state = DONE
-                job.record = self.results[key]
-                job.finished = job.created
-                self.m_cache_hits.inc()
-            elif how == "coalesce" or key in opened:
-                job.coalesced = True
-                (self.flights.get(key) or opened[key]).attach(job)
-                self.m_coalesced.inc()
-            else:
-                flight = ClusterFlight(key=key, request=request)
-                flight.attach(job)
-                self.flights[key] = flight
-                opened[key] = flight
-                task = loop.create_task(self._run_flight(flight))
-                self._flight_tasks.add(task)
-                task.add_done_callback(self._flight_tasks.discard)
-            jobs.append(job)
-        self.m_open_flights.set(len(self.flights))
-        return jobs
-
-    def _retry_after(self) -> float:
-        """Backpressure hint: open flights per routable worker, at an
-        assumed fraction of a second per simulation."""
-        nodes = max(len(self.ring), 1)
-        return max(1.0, round(0.5 * len(self.flights) / nodes, 1))
+            self._beat(node.node_id)
 
     # -------------------------------------------------------------- flights
     async def _run_flight(self, flight: ClusterFlight) -> None:
@@ -365,15 +299,13 @@ class ClusterCoordinator(JsonHttpServer):
         error = ""
         try:
             while True:
-                node = self._pick_node(flight)
+                node_id = self.ring.node_for(flight.key)
+                node = self.membership.get(node_id) if node_id else None
                 if node is None:
-                    if not self.config.local_fallback:
-                        error = "no routable nodes and local fallback disabled"
-                        break
                     record, error = await self._run_local(flight)
                     break
                 flight.node_id = node.node_id
-                flight.abandoned = asyncio.Event()
+                flight.node_lost = asyncio.Event()
                 try:
                     record, error = await self._run_on_node(flight, node)
                     break
@@ -384,7 +316,7 @@ class ClusterCoordinator(JsonHttpServer):
                     flight.remote_id = None
                     flight.failovers += 1
                     self.m_failovers.inc(len(flight.jobs))
-                    if flight.failovers > self.config.max_failovers:
+                    if flight.failovers > MAX_FAILOVERS:
                         error = (f"gave up after {flight.failovers} "
                                  f"reroutes; last: {exc.reason}")
                         break
@@ -392,19 +324,15 @@ class ClusterCoordinator(JsonHttpServer):
             error = error or "cancelled at shutdown"
         except Exception:
             error = traceback.format_exc()
-        self._resolve(flight, record, error)
+        self.resolve(flight, record, error)
+        if self.ring:
+            self.m_degraded.set(0)
 
-    def _pick_node(self, flight: ClusterFlight) -> Node | None:
-        node_id = self.ring.node_for(flight.key)
-        if node_id is None:
-            return None
-        return self.membership.get(node_id)
-
-    async def _wait_abandoned(self, flight: ClusterFlight,
+    async def _wait_node_lost(self, flight: ClusterFlight,
                               delay: float) -> None:
         """Sleep ``delay`` unless the flight's node dies first."""
         try:
-            await asyncio.wait_for(flight.abandoned.wait(), delay)
+            await asyncio.wait_for(flight.node_lost.wait(), delay)
         except asyncio.TimeoutError:
             return
         raise _NodeFailure("assigned node declared dead", declare_dead=False)
@@ -419,27 +347,26 @@ class ClusterCoordinator(JsonHttpServer):
         """
         base = node.url
         generation = node.generation
-        timeout = self.config.request_timeout
         payload = {"runs": [flight.request.describe()]}
         waits = 0
         while True:
-            if flight.abandoned.is_set():
+            if flight.node_lost.is_set():
                 raise _NodeFailure("assigned node declared dead")
             try:
                 status, headers, data = await request_json(
-                    "POST", base + "/v1/runs", payload, timeout=timeout)
+                    "POST", base + "/v1/runs", payload, timeout=REQUEST_TIMEOUT)
             except (OSError, asyncio.TimeoutError) as exc:
                 raise _NodeFailure(
                     f"submit to {node.node_id} failed: {exc}",
                     declare_dead=True) from exc
             if status == 429:
                 waits += 1
-                if waits > self.config.submit_retries:
+                if waits > SUBMIT_RETRIES:
                     # Saturated but alive: reroute without declaring dead.
                     raise _NodeFailure(
                         f"{node.node_id} kept answering 429")
                 retry_after = float(headers.get("retry-after", "1") or "1")
-                await self._wait_abandoned(flight, min(retry_after, 2.0))
+                await self._wait_node_lost(flight, min(retry_after, 2.0))
                 continue
             if status == 503:
                 # Draining worker that hasn't deregistered yet.
@@ -457,7 +384,7 @@ class ClusterCoordinator(JsonHttpServer):
             break
 
         while True:
-            await self._wait_abandoned(flight, self.config.poll_interval)
+            await self._wait_node_lost(flight, POLL_INTERVAL)
             live = self.membership.get(node.node_id)
             if live is None or live.generation != generation:
                 raise _NodeFailure(
@@ -465,7 +392,7 @@ class ClusterCoordinator(JsonHttpServer):
             try:
                 status, _, job = await request_json(
                     "GET", f"{base}/v1/runs/{flight.remote_id}",
-                    timeout=timeout)
+                    timeout=REQUEST_TIMEOUT)
             except (OSError, asyncio.TimeoutError) as exc:
                 raise _NodeFailure(
                     f"poll on {node.node_id} failed: {exc}",
@@ -479,8 +406,6 @@ class ClusterCoordinator(JsonHttpServer):
                     f"{node.node_id} answered {status} to a status poll")
             state = job.get("state")
             if state == "done":
-                from ..harness.cache import ResultCache
-
                 return ResultCache.deserialize(job["result"]), ""
             if state == "failed":
                 # The worker burned its own retry budget: charged.
@@ -512,120 +437,8 @@ class ClusterCoordinator(JsonHttpServer):
         except Exception:
             return None, traceback.format_exc()
 
-    def _resolve(self, flight: ClusterFlight, record: RunRecord | None,
-                 error: str) -> None:
-        self.flights.pop(flight.key, None)
-        now = time.time()
-        if record is not None:
-            self.results[flight.key] = record
-        for job in flight.jobs:
-            if job.state in (DONE, FAILED):
-                continue
-            job.finished = now
-            if record is not None:
-                job.state = DONE
-                job.record = record
-            else:
-                job.state = FAILED
-                job.error = error or "unknown failure"
-            self.m_completed.inc(state=job.state)
-        self.m_open_flights.set(len(self.flights))
-        if self.ring:
-            self.m_degraded.set(0)
-
     # ------------------------------------------------------------ endpoints
-    def _healthz(self) -> dict:
-        counts = self.membership.counts()
-        return {
-            "status": "draining" if self.draining else "ok",
-            "role": "coordinator",
-            "version": __version__,
-            "nodes": counts,
-            "routable": len(self.ring),
-            "open_flights": len(self.flights),
-            "jobs_tracked": len(self.store),
-            "results_stored": len(self.results),
-            "degraded": bool(self.flights) and not len(self.ring),
-        }
-
-    def _runs_index(self) -> dict:
-        jobs = self.store.jobs()
-        return {
-            "jobs": [j.describe(include_result=False) for j in jobs[-100:]],
-            "total": len(jobs),
-            "evicted": self.store.evicted,
-        }
-
-    async def _federated_metrics(self) -> tuple[int, dict, bytes, str]:
-        texts: dict[str, str | None] = {}
-
-        async def scrape(node: Node) -> None:
-            from .transport import request
-
-            try:
-                status, _, body = await request(
-                    "GET", node.url + "/metrics", timeout=2.0)
-                texts[node.node_id] = (body.decode()
-                                       if status == 200 else None)
-            except (OSError, asyncio.TimeoutError):
-                texts[node.node_id] = None
-
-        await asyncio.gather(
-            *(scrape(n) for n in self.membership.routable()))
-        for node in self.membership.nodes.values():
-            # Dead nodes stay visible as node_up 0 — the alerting
-            # signal — instead of silently vanishing from the sum.
-            # (LEFT nodes departed cleanly and really are gone.)
-            if node.state == DEAD:
-                texts.setdefault(node.node_id, None)
-        self._update_node_gauges()
-        self.m_open_flights.set(len(self.flights))
-        text = render_federated(self.metrics.render(), texts)
-        return 200, {
-            "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
-        }, text.encode(), "/metrics"
-
-    def on_response(self, endpoint: str, status: int) -> None:
-        self.m_requests.inc(endpoint=endpoint, code=str(status))
-
-    def route(self, method: str, path: str, body: bytes):
-        if path == "/healthz":
-            if method != "GET":
-                raise HttpError(405, "healthz is GET-only")
-            return 200, {}, json_bytes(self._healthz()), "/healthz"
-        if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "metrics is GET-only")
-            return self._federated_metrics()
-        if path == "/v1/runs":
-            if method == "GET":
-                return 200, {}, json_bytes(self._runs_index()), "/v1/runs"
-            if method != "POST":
-                raise HttpError(405, "use POST to submit, GET to list")
-            try:
-                requests = parse_submission(body, max_batch=MAX_BATCH)
-            except BatchTooLarge as exc:
-                raise HttpError(413, str(exc)) from exc
-            except BadRequest as exc:
-                raise HttpError(400, str(exc)) from exc
-            try:
-                jobs = self.submit(requests)
-            except QueueFull as exc:
-                raise HttpError(
-                    429, str(exc),
-                    headers={"Retry-After": str(int(exc.retry_after + 0.5))},
-                ) from exc
-            accepted = {
-                "jobs": [j.describe(include_result=False) for j in jobs],
-            }
-            return 202, {}, json_bytes(accepted), "/v1/runs"
-        if path.startswith("/v1/runs/"):
-            if method != "GET":
-                raise HttpError(405, "job status is GET-only")
-            job = self.store.get(path[len("/v1/runs/"):])
-            if job is None:
-                raise HttpError(404, "no such job (it may have aged out)")
-            return 200, {}, json_bytes(job.describe()), "/v1/runs/{id}"
+    def extra_route(self, method: str, path: str, body: bytes):
         if path == "/v1/nodes":
             if method == "GET":
                 return 200, {}, json_bytes(
@@ -648,11 +461,33 @@ class ClusterCoordinator(JsonHttpServer):
             raise HttpError(405, "POST {id}/heartbeat or DELETE {id}")
         raise HttpError(404, f"no route for {path}")
 
-    def _handle_register(self, body: bytes):
-        import json as json_mod
+    async def render_metrics(self) -> str:
+        texts: dict[str, str | None] = {}
 
+        async def scrape(node: Node) -> None:
+            try:
+                status, _, body = await request(
+                    "GET", node.url + "/metrics", timeout=2.0)
+                texts[node.node_id] = (body.decode()
+                                       if status == 200 else None)
+            except (OSError, asyncio.TimeoutError):
+                texts[node.node_id] = None
+
+        await asyncio.gather(
+            *(scrape(n) for n in self.membership.routable()))
+        for node in self.membership.nodes.values():
+            # Dead nodes stay visible as node_up 0 — the alerting
+            # signal — instead of silently vanishing from the sum.
+            # (LEFT nodes departed cleanly and really are gone.)
+            if node.state == DEAD:
+                texts.setdefault(node.node_id, None)
+        self._update_node_gauges()
+        self.m_open_flights.set(len(self.flights))
+        return render_federated(self.metrics.render(), texts)
+
+    def _handle_register(self, body: bytes):
         try:
-            payload = json_mod.loads(body.decode() or "null")
+            payload = json.loads(body.decode() or "null")
         except (ValueError, UnicodeDecodeError) as exc:
             raise HttpError(400, f"body is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
@@ -676,136 +511,27 @@ class ClusterCoordinator(JsonHttpServer):
         }), "/v1/nodes"
 
     def _handle_heartbeat(self, node_id: str, body: bytes):
-        import json as json_mod
-
         try:
-            load = json_mod.loads(body.decode() or "null")
+            load = json.loads(body.decode() or "null")
         except (ValueError, UnicodeDecodeError):
             load = None
-        node = self.membership.heartbeat(
-            node_id, load if isinstance(load, dict) else None)
+        node = self._beat(node_id, load if isinstance(load, dict) else None)
         if node is None:
             raise HttpError(404, f"unknown node {node_id!r}; re-register")
-        if node.node_id not in self.ring:
-            # Resurrection or first beat after a coordinator restart.
-            self.ring.add(node.node_id)
-        self._update_node_gauges()
         return 200, {}, json_bytes(
             {"id": node_id, "state": node.state}), "/v1/nodes/{id}/heartbeat"
 
 
-# ----------------------------------------------------------------- serving
-async def _coordinate(config: CoordinatorConfig, ready=None) -> int:
-    coordinator = ClusterCoordinator(config)
-    await coordinator.start()
-    loop = asyncio.get_running_loop()
-    drain_task: list[asyncio.Task] = []
-
-    def request_drain(signame: str) -> None:
-        if not drain_task:
-            print(f"repro coordinate: {signame} received, draining "
-                  f"({len(coordinator.flights)} open flight(s))...",
-                  file=sys.stderr, flush=True)
-            drain_task.append(
-                loop.create_task(coordinator.drain_and_stop()))
-
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(
-                sig, request_drain, signal.Signals(sig).name)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-
-    print(f"repro coordinate: listening on "
-          f"http://{config.host}:{coordinator.port} "
-          f"({len(config.nodes)} static node(s), "
-          f"heartbeat {config.heartbeat_interval:g}s, "
-          f"node timeout {config.node_timeout:g}s)",
-          flush=True)
-    if ready is not None:
-        ready(coordinator)
-    await coordinator._stopped.wait()
-    drained = True
-    if drain_task:
-        drained = drain_task[0].result()
-    print("repro coordinate: drained clean, bye" if drained
-          else "repro coordinate: drain timeout hit, flights unresolved",
-          file=sys.stderr, flush=True)
-    return 0 if drained else 1
-
-
 def coordinate(config: CoordinatorConfig | None = None) -> int:
     """Blocking entrypoint behind ``repro coordinate``."""
-    return asyncio.run(_coordinate(config or CoordinatorConfig()))
+    return ClusterCoordinator.run(config or CoordinatorConfig())
 
 
-class CoordinatorThread:
-    """A :class:`ClusterCoordinator` on a background thread + event loop.
+class CoordinatorThread(FrontendThread):
+    """A :class:`ClusterCoordinator` on a background thread + event loop."""
 
-    The in-process harness for tests, the cluster load benchmark and
-    the chaos drill — mirrors
-    :class:`~repro.service.daemon.ServiceThread`.
-    """
-
-    def __init__(self, config: CoordinatorConfig | None = None):
-        self.config = config or CoordinatorConfig(port=0)
-        self.coordinator: ClusterCoordinator | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self.drained: bool | None = None
+    daemon_class = ClusterCoordinator
 
     @property
-    def base_url(self) -> str:
-        assert (self.coordinator is not None
-                and self.coordinator.port is not None)
-        return f"http://{self.config.host}:{self.coordinator.port}"
-
-    def start(self) -> "CoordinatorThread":
-        def runner() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            asyncio.set_event_loop(loop)
-
-            async def boot():
-                self.coordinator = ClusterCoordinator(self.config)
-                await self.coordinator.start()
-                self._ready.set()
-                await self.coordinator._stopped.wait()
-
-            try:
-                loop.run_until_complete(boot())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=runner, name="repro-coordinate", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(30.0):
-            raise RuntimeError("coordinator failed to start within 30s")
-        return self
-
-    def call(self, fn, *args):
-        """Run ``fn(coordinator, *args)`` on the loop; returns its value."""
-        assert self._loop is not None
-
-        async def wrapper():
-            return fn(self.coordinator, *args)
-
-        return asyncio.run_coroutine_threadsafe(
-            wrapper(), self._loop).result(30.0)
-
-    def stop(self, timeout: float = 60.0) -> bool:
-        assert self._loop is not None and self._thread is not None
-        future = asyncio.run_coroutine_threadsafe(
-            self.coordinator.drain_and_stop(), self._loop)
-        self.drained = future.result(timeout)
-        self._thread.join(timeout)
-        return bool(self.drained)
-
-    def __enter__(self) -> "CoordinatorThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            self.stop()
+    def coordinator(self) -> ClusterCoordinator | None:
+        return self.daemon

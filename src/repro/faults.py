@@ -39,10 +39,12 @@ Fault kinds:
                 modelling a network partition (the node keeps running
                 but the coordinator declares it dead)
 
-The ``node`` site is consulted once per heartbeat with the key
-``"{node_id}/hb{seq}"``, so a drill can target e.g. exactly the fourth
-heartbeat of worker ``w1`` (``match="w1/hb4"``) — deterministically
-mid-campaign rather than at startup.
+The ``node`` site is consulted by a ``repro serve`` daemon once per new
+flight it admits, with the key ``"{node_id}/job{n}"``, and once per
+heartbeat, with the key ``"{node_id}/hb{seq}"``.  Keying on admitted
+work lets a drill target e.g. exactly the first simulation worker ``w1``
+accepts (``match="w1/job1"``) — inside the campaign however fast the
+simulator runs, where a heartbeat count is only a guess at wall time.
 """
 
 from __future__ import annotations

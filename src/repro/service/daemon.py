@@ -4,90 +4,38 @@ A long-running process that turns the one-shot experiment harness into a
 serving layer: clients POST (workload, policy, config-override) requests
 and poll job ids, while the daemon keeps a warm worker pool, an
 in-memory result store and (optionally) the persistent
-:class:`~repro.harness.cache.ResultCache` across requests.  Stdlib only
-— the HTTP layer is a minimal HTTP/1.1 implementation over
-``asyncio.start_server`` (one request per connection, ``Connection:
-close``), which is all the JSON + Prometheus endpoints need.
-
-Endpoints::
-
-    POST /v1/runs        submit one request object or {"runs": [...]}
-                         -> 202 {"jobs": [{id, state, coalesced, cached}]}
-                         -> 400 on malformed requests
-                         -> 429 + Retry-After when the queue is full
-                            (batch admission is all-or-nothing: a batch
-                            is never half-accepted)
-                         -> 503 while draining
-    GET  /v1/runs        queue/job table summary
-    GET  /v1/runs/{id}   job status; includes the serialized RunRecord
-                         once the job is done
-    GET  /healthz        liveness + queue/worker gauges
-    GET  /metrics        Prometheus text format
-
-**Coalescing**: requests are keyed by the run-cache content key.  A key
-with a stored result is answered immediately (``cached``); a key with a
-queued/in-flight flight attaches the new job to it (``coalesced``);
-only novel keys consume queue capacity.  Because simulations are pure
-functions of the key, results served any of the three ways are
-bit-identical to a serial in-process run.
-
-**Drain**: SIGTERM/SIGINT stop admission (503), let queued + in-flight
-jobs finish (bounded by ``drain_timeout``), then exit 0 — an accepted
-job is never dropped by shutdown short of the timeout.
+:class:`~repro.harness.cache.ResultCache` across requests.  The client
+API — endpoints, admission and coalescing, drain — is the shared
+:class:`~repro.service.frontend.Frontend`; this module is its
+single-node executor: a bounded :class:`AdmissionQueue` drained by the
+supervised worker-pool :class:`Scheduler`.
 
 **Cluster membership**: with ``register_url`` set the daemon becomes a
 fleet worker — it registers with a :mod:`repro.cluster` coordinator,
 heartbeats on an interval, re-registers after a coordinator restart or
 a partition (a heartbeat answered 404 means "I don't know you"), and
 deregisters *before* draining so the coordinator stops routing to it.
-The membership loop consults the fault plan at the ``node`` site once
-per heartbeat (key ``"{node_id}/hb{seq}"``), which is how the cluster
-chaos drill kills a worker or partitions it mid-campaign.
+The daemon consults the fault plan at the ``node`` site once per new
+flight it admits (key ``"{node_id}/job{n}"``) and once per heartbeat
+(key ``"{node_id}/hb{seq}"``), which is how the cluster chaos drill
+kills a worker or partitions it mid-campaign.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import os
-import signal
-import sys
-import threading
+import time
 import uuid
 
-from .. import __version__
+from ..faults import maybe_fault
 from ..harness.cache import ResultCache
 from ..harness.resilience import RetryPolicy
-from ..harness.runner import RunRecord
-from .httpd import HttpError, JsonHttpServer, json_bytes
-from .jobs import (
-    DONE,
-    BadRequest,
-    BatchTooLarge,
-    Flight,
-    Job,
-    JobStore,
-    RunKeyer,
-    RunRequest,
-    parse_submission,
-)
-from .metrics import MetricsRegistry, record_cache_stats
+from .frontend import Frontend, FrontendThread, default_heartbeat_interval
+from .jobs import Flight, Job
+from .metrics import record_cache_stats
 from .queue import AdmissionQueue, QueueFull
 from .scheduler import Scheduler
-
-#: Largest accepted batch; beyond this a client should chunk.
-MAX_BATCH = 1024
-
-# Compatibility aliases — the HTTP plumbing moved to .httpd.
-_HttpError = HttpError
-_json_bytes = json_bytes
-
-
-def default_heartbeat_interval() -> float:
-    try:
-        return float(os.environ.get("REPRO_HEARTBEAT_INTERVAL", ""))
-    except ValueError:
-        return 1.0
 
 
 @dataclasses.dataclass
@@ -103,7 +51,6 @@ class ServiceConfig:
     cache_dir: str | None = None   # persistent ResultCache root
     use_cache: bool = False        # persist results across restarts
     drain_timeout: float = 60.0    # grace period on SIGTERM
-    history: int = 4096            # completed jobs kept addressable
     # --- cluster membership (all optional; None = standalone daemon) ---
     register_url: str | None = None   # coordinator base URL to join
     node_id: str | None = None        # stable fleet identity (default: random)
@@ -115,33 +62,28 @@ class ServiceConfig:
                            timeout=self.timeout)
 
 
-class SimulationService(JsonHttpServer):
-    """Owns the queue, scheduler, job store and HTTP front end."""
+class SimulationService(Frontend):
+    """The shared front end over a priority queue and a worker pool."""
 
     server_label = "repro-serve"
+    name = "repro serve"
+    noun = "service"
+    metric_prefix = "repro_service"
+    coalesced_family = (
+        "repro_service_jobs_coalesced_total",
+        "Jobs attached to an already queued/in-flight identical request.")
+    config_class = ServiceConfig
 
-    def __init__(self, config: ServiceConfig | None = None,
-                 metrics: MetricsRegistry | None = None):
-        super().__init__()
-        self.config = config or ServiceConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.keyer = RunKeyer()
-        self.store = JobStore(history=self.config.history)
-        self.results: dict[str, RunRecord] = {}
+    def __init__(self, config: ServiceConfig | None = None, metrics=None):
+        super().__init__(config or ServiceConfig(), metrics)
         self.queue = AdmissionQueue(self.config.queue_depth)
-        self.cache = (
-            ResultCache(self.config.cache_dir)
-            if (self.config.use_cache or self.config.cache_dir)
-            else None
-        )
+        if self.config.use_cache or self.config.cache_dir:
+            self.cache = ResultCache(self.config.cache_dir)
         self.scheduler = Scheduler(
-            self.queue, self.store, self.results, self.metrics,
+            self.queue, self.metrics, self.resolve,
             jobs=self.config.jobs,
             retry_policy=self.config.retry_policy(),
-            cache=self.cache,
         )
-        self.draining = False
-        self._stopped = asyncio.Event()
         self.node_id = (self.config.node_id
                         or f"node-{uuid.uuid4().hex[:8]}")
         self.heartbeat_interval = (
@@ -149,58 +91,90 @@ class SimulationService(JsonHttpServer):
             if self.config.heartbeat_interval is not None
             else default_heartbeat_interval())
         self.heartbeats_sent = 0
+        self._silent_until = 0.0     # monotonic end of an injected partition
         self._membership_task: asyncio.Task | None = None
         self._registered = False
 
-        m = self.metrics
-        self.m_requests = m.counter(
-            "repro_service_http_requests_total",
-            "HTTP requests served, by endpoint and status code.",
-            labelnames=("endpoint", "code"))
-        self.m_submitted = m.counter(
-            "repro_service_jobs_submitted_total",
-            "Jobs accepted by the service (cached + coalesced + simulated).")
-        self.m_coalesced = m.counter(
-            "repro_service_jobs_coalesced_total",
-            "Jobs attached to an already queued/in-flight identical request.")
-        self.m_cache_hits = m.counter(
-            "repro_service_cache_hits_total",
-            "Jobs answered from the result store without queueing.")
-        self.m_rejected = m.counter(
-            "repro_service_jobs_rejected_total",
-            "Submissions rejected by admission control (HTTP 429).")
-        self.m_queue_depth = m.gauge(
+        self.m_queue_depth = self.metrics.gauge(
             "repro_service_queue_depth", "Flights waiting in the job queue.")
-        self.m_workers = m.gauge(
-            "repro_service_workers", "Configured worker processes.")
-        self.m_workers.set(self.config.jobs)
-        m.gauge("repro_service_info",
-                "Static service metadata.",
-                labelnames=("version",)).set(1, version=__version__)
+        self.metrics.gauge(
+            "repro_service_workers", "Configured worker processes.",
+        ).set(self.config.jobs)
+
+    # ----------------------------------------------------------------- seam
+    def check_room(self, new_flights: int) -> None:
+        if not self.queue.has_room_for(new_flights):
+            raise QueueFull(self.queue.depth, self._retry_after())
+
+    def launch(self, flight: Flight) -> None:
+        self.queue.push(flight)
+        self._node_fault(f"job{self.queue.admitted}")
+        self.scheduler.notify()
+
+    def coalesce(self, flight: Flight, job: Job) -> None:
+        before = flight.priority
+        flight.attach(job)
+        if flight.priority < before:
+            self.queue.reprioritize(flight)
+
+    def _retry_after(self) -> float:
+        """Backpressure hint: median sim time x queue depth / workers."""
+        per_sim = self.scheduler.m_sim_seconds.quantile(0.5) or 0.5
+        return max(1.0, round(
+            per_sim * self.queue.depth / max(self.config.jobs, 1), 1))
+
+    def health(self) -> dict:
+        return {
+            "node_id": self.node_id,
+            "queue_depth": len(self.queue),
+            "queue_capacity": self.queue.depth,
+            "running": len(self.scheduler.inflight),
+            "workers": self.config.jobs,
+            "degraded": self.scheduler.pool.degraded,
+        }
+
+    async def render_metrics(self) -> str:
+        self.m_queue_depth.set(len(self.queue))
+        if self.cache is not None:
+            record_cache_stats(self.cache.stats, self.metrics)
+        return self.metrics.render()
+
+    def banner(self) -> list[str]:
+        lines = [f"listening on http://{self.config.host}:{self.port} "
+                 f"({self.config.jobs} worker(s), "
+                 f"queue depth {self.config.queue_depth})"]
+        if self.config.register_url:
+            lines.append(f"joining cluster at {self.config.register_url} "
+                         f"as {self.node_id} "
+                         f"(heartbeat {self.heartbeat_interval:g}s)")
+        return lines
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
         self.scheduler.start()
-        await self.bind(self.config.host, self.config.port)
+        await super().start()
         if self.config.register_url:
             self._membership_task = asyncio.get_running_loop().create_task(
                 self._membership_loop())
 
-    async def drain_and_stop(self) -> bool:
-        """Stop admission, finish accepted work, shut down.  True iff
-        everything accepted was resolved inside the drain budget."""
-        if self.draining:
-            await self._stopped.wait()
-            return True
-        self.draining = True
+    async def before_drain(self) -> None:
         await self._leave_cluster()
-        await self.close_server()
-        drained = await self.scheduler.drain(self.config.drain_timeout)
+
+    async def stop_executor(self, drained: bool) -> None:
         await self.scheduler.stop(wait_workers=drained)
-        self._stopped.set()
-        return drained
 
     # ----------------------------------------------------------- membership
+    def _node_fault(self, event: str) -> None:
+        """Consult the fault plan at the ``node`` site for ``event``.
+
+        ``node_kill`` SIGKILLs this process inside
+        :func:`repro.faults.maybe_fault`; ``heartbeat_loss`` is passive,
+        so the membership loop goes silent for its ``hang_seconds``.
+        """
+        spec = maybe_fault("node", f"{self.node_id}/{event}")
+        if spec is not None and spec.kind == "heartbeat_loss":
+            self._silent_until = time.monotonic() + spec.hang_seconds
+
     async def _leave_cluster(self) -> None:
         """Drain-aware deregistration: tell the coordinator we're leaving
         *before* the socket closes, so it stops routing to us instead of
@@ -230,12 +204,10 @@ class SimulationService(JsonHttpServer):
         Self-healing by design: a failed or 404'd heartbeat flips back to
         the register step, so the worker survives coordinator restarts
         and rejoins after a partition.  Each beat consults the fault plan
-        (site ``node``, key ``{node_id}/hb{seq}``) — ``node_kill``
-        SIGKILLs this process inside :func:`repro.faults.maybe_fault`;
-        ``heartbeat_loss`` is passive, so we go silent here instead.
+        (key ``{node_id}/hb{seq}``); an injected partition, from a beat
+        or from an admitted flight, silences the loop until it ends.
         """
         from ..cluster.transport import request_json
-        from ..faults import maybe_fault
 
         base = self.config.register_url.rstrip("/")
         advertise = (self.config.advertise_url
@@ -243,9 +215,10 @@ class SimulationService(JsonHttpServer):
         interval = max(self.heartbeat_interval, 0.05)
         while not self.draining:
             self.heartbeats_sent += 1
-            spec = maybe_fault("node", f"{self.node_id}/hb{self.heartbeats_sent}")
-            if spec is not None and spec.kind == "heartbeat_loss":
-                await asyncio.sleep(spec.hang_seconds)
+            self._node_fault(f"hb{self.heartbeats_sent}")
+            silence = self._silent_until - time.monotonic()
+            if silence > 0:
+                await asyncio.sleep(silence)
                 self._registered = False  # assume we were declared dead
                 continue
             try:
@@ -271,281 +244,26 @@ class SimulationService(JsonHttpServer):
                 pass  # coordinator unreachable; keep trying
             await asyncio.sleep(interval)
 
-    # ------------------------------------------------------------ admission
-    def submit(self, requests: list[RunRequest]) -> list[Job]:
-        """Admit a batch (all-or-nothing); raises :class:`QueueFull`.
-
-        Runs synchronously on the event loop — no awaits — so the plan
-        (which keys are cached / coalescible / novel) cannot be
-        invalidated by a flight resolving mid-batch.
-        """
-        if self.draining:
-            raise _HttpError(503, "service is draining")
-        open_flights = {f.key: f for f in self.queue.flights()}
-        open_flights.update(self.scheduler.inflight)
-        plans: list[tuple[RunRequest, str, str]] = []  # (request, key, how)
-        novel: dict[str, None] = {}   # insertion-ordered unique new keys
-        for request in requests:
-            key = self.keyer.key_for(request)
-            if key in novel:
-                how = "coalesce"      # duplicate within this very batch
-            elif key in self.results:
-                how = "cached"
-            elif key in open_flights:
-                how = "coalesce"
-            else:
-                record = self.cache.get(key) if self.cache is not None else None
-                if record is not None:
-                    self.results[key] = record
-                    how = "cached"
-                else:
-                    how = "new"
-                    novel[key] = None
-            plans.append((request, key, how))
-        if not self.queue.has_room_for(len(novel)):
-            self.m_rejected.inc(len(requests))
-            raise QueueFull(self.queue.depth, self._retry_after())
-
-        jobs: list[Job] = []
-        for request, key, how in plans:
-            job = Job(request=request, key=key)
-            self.store.add(job)
-            self.m_submitted.inc()
-            if how == "cached":
-                job.cached = True
-                job.state = DONE
-                job.record = self.results[key]
-                job.finished = job.created
-                self.m_cache_hits.inc()
-            elif how == "coalesce" or key in open_flights:
-                job.coalesced = True
-                flight = open_flights[key]
-                before = flight.priority
-                flight.attach(job)
-                if flight.priority < before:
-                    self.queue.reprioritize(flight)
-                self.m_coalesced.inc()
-            else:
-                flight = Flight(key=key, request=request,
-                                priority=request.priority)
-                flight.attach(job)
-                open_flights[key] = flight
-                self.queue.push(flight)
-            jobs.append(job)
-        self.m_queue_depth.set(len(self.queue))
-        if novel:
-            self.scheduler.notify()
-        return jobs
-
-    def _retry_after(self) -> float:
-        """Backpressure hint: median sim time x queue depth / workers."""
-        per_sim = self.scheduler.m_sim_seconds.quantile(0.5) or 0.5
-        return max(1.0, round(
-            per_sim * self.queue.depth / max(self.config.jobs, 1), 1))
-
-    # ------------------------------------------------------------- endpoints
-    def _healthz(self) -> dict:
-        return {
-            "status": "draining" if self.draining else "ok",
-            "version": __version__,
-            "node_id": self.node_id,
-            "queue_depth": len(self.queue),
-            "queue_capacity": self.queue.depth,
-            "running": len(self.scheduler.inflight),
-            "workers": self.config.jobs,
-            "degraded": self.scheduler.pool.degraded,
-            "jobs_tracked": len(self.store),
-            "results_stored": len(self.results),
-        }
-
-    def _runs_index(self) -> dict:
-        jobs = self.store.jobs()
-        return {
-            "jobs": [j.describe(include_result=False) for j in jobs[-100:]],
-            "total": len(jobs),
-            "evicted": self.store.evicted,
-        }
-
-    def _metrics_text(self) -> str:
-        self.m_queue_depth.set(len(self.queue))
-        if self.cache is not None:
-            record_cache_stats(self.cache.stats, self.metrics)
-        return self.metrics.render()
-
-    def _parse_submission(self, body: bytes) -> list[RunRequest]:
-        try:
-            return parse_submission(body, max_batch=MAX_BATCH)
-        except BatchTooLarge as exc:
-            raise _HttpError(413, str(exc)) from exc
-        except BadRequest as exc:
-            raise _HttpError(400, str(exc)) from exc
-
-    def on_response(self, endpoint: str, status: int) -> None:
-        self.m_requests.inc(endpoint=endpoint, code=str(status))
-
-    def route(self, method: str, path: str, body: bytes
-              ) -> tuple[int, dict[str, str], bytes, str]:
-        """Dispatch; returns (status, extra headers, body, endpoint label)."""
-        if path == "/healthz":
-            if method != "GET":
-                raise _HttpError(405, "healthz is GET-only")
-            payload = self._healthz()
-            return 200, {}, _json_bytes(payload), "/healthz"
-        if path == "/metrics":
-            if method != "GET":
-                raise _HttpError(405, "metrics is GET-only")
-            text = self._metrics_text().encode()
-            return 200, {
-                "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
-            }, text, "/metrics"
-        if path == "/v1/runs":
-            if method == "GET":
-                return 200, {}, _json_bytes(self._runs_index()), "/v1/runs"
-            if method != "POST":
-                raise _HttpError(405, "use POST to submit, GET to list")
-            requests = self._parse_submission(body)
-            try:
-                jobs = self.submit(requests)
-            except QueueFull as exc:
-                raise _HttpError(
-                    429, str(exc),
-                    headers={"Retry-After": str(int(exc.retry_after + 0.5))},
-                ) from exc
-            accepted = {
-                "jobs": [j.describe(include_result=False) for j in jobs],
-            }
-            return 202, {}, _json_bytes(accepted), "/v1/runs"
-        if path.startswith("/v1/runs/"):
-            if method != "GET":
-                raise _HttpError(405, "job status is GET-only")
-            job = self.store.get(path[len("/v1/runs/"):])
-            if job is None:
-                raise _HttpError(404, "no such job (it may have aged out)")
-            return 200, {}, _json_bytes(job.describe()), "/v1/runs/{id}"
-        raise _HttpError(404, f"no route for {path}")
-
-
-# ----------------------------------------------------------------- serving
-async def _serve(config: ServiceConfig, ready=None) -> int:
-    service = SimulationService(config)
-    await service.start()
-    loop = asyncio.get_running_loop()
-    drain_task: list[asyncio.Task] = []
-
-    def request_drain(signame: str) -> None:
-        if not drain_task:
-            print(f"repro serve: {signame} received, draining "
-                  f"({len(service.queue)} queued, "
-                  f"{len(service.scheduler.inflight)} running)...",
-                  file=sys.stderr, flush=True)
-            drain_task.append(loop.create_task(service.drain_and_stop()))
-
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(
-                sig, request_drain, signal.Signals(sig).name)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-
-    print(f"repro serve: listening on http://{config.host}:{service.port} "
-          f"({config.jobs} worker(s), queue depth {config.queue_depth})",
-          flush=True)
-    if config.register_url:
-        print(f"repro serve: joining cluster at {config.register_url} "
-              f"as {service.node_id} "
-              f"(heartbeat {service.heartbeat_interval:g}s)",
-              flush=True)
-    if ready is not None:
-        ready(service)
-    await service._stopped.wait()
-    drained = True
-    if drain_task:
-        drained = drain_task[0].result()
-    print("repro serve: drained clean, bye" if drained
-          else "repro serve: drain timeout hit, some jobs unresolved",
-          file=sys.stderr, flush=True)
-    return 0 if drained else 1
-
 
 def serve(config: ServiceConfig | None = None) -> int:
     """Blocking entrypoint behind ``repro serve``; returns the exit code."""
-    return asyncio.run(_serve(config or ServiceConfig()))
+    return SimulationService.run(config or ServiceConfig())
 
 
-class ServiceThread:
+class ServiceThread(FrontendThread):
     """A :class:`SimulationService` on a background thread + event loop.
 
-    The in-process harness used by tests, the load generator and the
-    service chaos drill: ``start()`` returns once the port is bound;
-    ``stop()`` drains and joins.  Use ``base_url`` with
-    :class:`~repro.service.client.ServiceClient`.
+    Use ``base_url`` with :class:`~repro.service.client.ServiceClient`.
     """
 
-    def __init__(self, config: ServiceConfig | None = None):
-        self.config = config or ServiceConfig(port=0)
-        self.service: SimulationService | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self.drained: bool | None = None
+    daemon_class = SimulationService
 
     @property
-    def base_url(self) -> str:
-        assert self.service is not None and self.service.port is not None
-        return f"http://{self.config.host}:{self.service.port}"
-
-    def start(self) -> "ServiceThread":
-        def runner() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            asyncio.set_event_loop(loop)
-
-            async def boot():
-                self.service = SimulationService(self.config)
-                await self.service.start()
-                self._ready.set()
-                await self.service._stopped.wait()
-
-            try:
-                loop.run_until_complete(boot())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=runner, name="repro-serve", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(30.0):
-            raise RuntimeError("service failed to start within 30s")
-        return self
-
-    def call(self, fn, *args):
-        """Run ``fn(service, *args)`` on the service loop; returns its value."""
-        assert self._loop is not None
-
-        async def wrapper():
-            return fn(self.service, *args)
-
-        return asyncio.run_coroutine_threadsafe(
-            wrapper(), self._loop).result(30.0)
+    def service(self) -> SimulationService | None:
+        return self.daemon
 
     def pause(self) -> None:
         self.call(lambda s: s.scheduler.pause())
 
     def resume(self) -> None:
         self.call(lambda s: s.scheduler.resume())
-
-    def stop(self, timeout: float = 60.0) -> bool:
-        """Drain + stop + join; True iff the drain completed cleanly."""
-        assert self._loop is not None and self._thread is not None
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.drain_and_stop(), self._loop)
-        self.drained = future.result(timeout)
-        self._thread.join(timeout)
-        return bool(self.drained)
-
-    def __enter__(self) -> "ServiceThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            self.stop()

@@ -1,16 +1,9 @@
-"""Shared stdlib asyncio HTTP/1.1 JSON server base.
+"""Stdlib asyncio HTTP/1.1 JSON server: the wire protocol only.
 
-Both daemons in the repo — the single-node simulation service
-(:mod:`repro.service.daemon`) and the cluster coordinator
-(:mod:`repro.cluster.coordinator`) — speak the same minimal protocol:
-one request per connection, ``Connection: close``, JSON bodies, plus a
-Prometheus ``/metrics`` text endpoint.  This module holds the protocol
-plumbing once so the two front ends only differ in their route tables.
-
-Subclasses implement :meth:`JsonHttpServer.route`; a route may return
-either a ``(status, headers, body, endpoint_label)`` tuple or a
-coroutine resolving to one (the coordinator's federated ``/metrics``
-scrapes its workers concurrently, so it must be able to await).
+One request per connection, ``Connection: close``, JSON bodies.  The
+routes live in :class:`repro.service.frontend.Frontend`; a route may
+return a ``(status, headers, body, endpoint_label)`` tuple or a
+coroutine resolving to one (a federated ``/metrics`` must await).
 """
 
 from __future__ import annotations

@@ -177,8 +177,8 @@ class RunRequest:
 def parse_submission(body: bytes, max_batch: int = 1024) -> list[RunRequest]:
     """Decode a POST /v1/runs body into validated requests.
 
-    Shared by the single-node daemon and the cluster coordinator so the
-    two front ends accept byte-identical submissions.  Raises
+    The one parser behind both ``repro serve`` and ``repro coordinate``
+    (:class:`repro.service.frontend.Frontend`).  Raises
     :class:`BadRequest` (HTTP 400 shape) or :class:`BatchTooLarge`
     (HTTP 413 shape).
     """

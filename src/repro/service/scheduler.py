@@ -32,12 +32,12 @@ import concurrent.futures as cf
 import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
+from typing import Callable
 
-from ..harness.cache import ResultCache
 from ..harness.lockstep import LOCKSTEP_MAX, lockstep_enabled, simulate_batch
 from ..harness.resilience import RetryPolicy, process_pool, simulate_point
 from ..harness.runner import RunRecord
-from .jobs import DONE, FAILED, RUNNING, Flight, JobStore
+from .jobs import RUNNING, Flight
 from .metrics import MetricsRegistry
 from .queue import AdmissionQueue
 
@@ -45,7 +45,8 @@ from .queue import AdmissionQueue
 class WorkerPool:
     """A ``ProcessPoolExecutor`` with generation-tracked rebuilds.
 
-    ``submit`` tags each future with the pool generation it entered;
+    ``start_point``/``start_batch`` tag each future with the pool
+    generation it entered;
     ``declare_dead(generation)`` rebuilds at most once per generation
     (concurrent flights observing the same death coalesce into one
     rebuild).  After ``max_rebuilds`` deaths the pool degrades to one
@@ -61,11 +62,12 @@ class WorkerPool:
         self.degraded = False
         self._pool: cf.Executor = process_pool(self.workers)
 
-    def submit(self, args: tuple) -> tuple[cf.Future, int]:
+    def start_point(self, args: tuple) -> tuple[cf.Future, int]:
+        """Start one simulation (``simulate_point`` args)."""
         return self._pool.submit(simulate_point, args), self.generation
 
-    def submit_batch(self, args: tuple) -> tuple[cf.Future, int]:
-        """Submit one lockstep batch (``simulate_batch`` args)."""
+    def start_batch(self, args: tuple) -> tuple[cf.Future, int]:
+        """Start one lockstep batch (``simulate_batch`` args)."""
         return self._pool.submit(simulate_batch, args), self.generation
 
     def declare_dead(self, generation: int) -> None:
@@ -93,22 +95,23 @@ class WorkerPool:
 
 
 class Scheduler:
-    """Drains the admission queue through the worker pool, resolving jobs."""
+    """Drains the admission queue through the worker pool.
+
+    A popped flight that succeeds or exhausts its retries is handed to
+    ``resolve(flight, record, error)`` — the front end's
+    :meth:`~repro.service.frontend.Frontend.resolve` — exactly once.
+    """
 
     def __init__(
         self,
         queue: AdmissionQueue,
-        store: JobStore,
-        results: dict[str, RunRecord],
         metrics: MetricsRegistry,
+        resolve: Callable[[Flight, RunRecord | None, str], None],
         jobs: int = 2,
         retry_policy: RetryPolicy | None = None,
-        cache: ResultCache | None = None,
     ):
         self.queue = queue
-        self.store = store
-        self.results = results          # key -> slim RunRecord (warm store)
-        self.cache = cache              # optional persistent ResultCache
+        self.resolve = resolve
         self.metrics = metrics
         self.retry_policy = retry_policy or RetryPolicy()
         self.pool = WorkerPool(jobs, self.retry_policy.max_pool_rebuilds)
@@ -118,17 +121,11 @@ class Scheduler:
         self._paused = asyncio.Event()
         self._paused.set()              # set == not paused
         self._wakeup = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._slots = asyncio.Semaphore(max(jobs, 1))
         self._tasks: set[asyncio.Task] = set()
         self._loop_task: asyncio.Task | None = None
 
         m = self.metrics
-        self.m_completed = m.counter(
-            "repro_service_jobs_completed_total",
-            "Jobs resolved by the service, by terminal state.",
-            labelnames=("state",))
         self.m_simulations = m.counter(
             "repro_service_simulations_total",
             "Simulations actually executed by the worker pool.")
@@ -143,9 +140,6 @@ class Scheduler:
         self.m_degraded = m.gauge(
             "repro_service_degraded",
             "1 when the pool has degraded to in-process serial mode.")
-        self.m_latency = m.histogram(
-            "repro_service_job_latency_seconds",
-            "Submit-to-resolve latency of completed jobs.")
         self.m_sim_seconds = m.histogram(
             "repro_service_simulation_seconds",
             "Wall-clock duration of individual worker simulations.")
@@ -167,27 +161,6 @@ class Scheduler:
     def notify(self) -> None:
         """Wake the drain loop after an enqueue."""
         self._wakeup.set()
-
-    @property
-    def busy(self) -> bool:
-        return bool(self.inflight) or len(self.queue) > 0
-
-    async def drain(self, timeout: float | None = None) -> bool:
-        """Wait for queue + in-flight work to finish; True on full drain."""
-        deadline = (time.monotonic() + timeout) if timeout is not None else None
-        while True:
-            self._idle.clear()
-            if not self.busy:  # checked after clear, so no lost wakeup
-                return True
-            wait = None
-            if deadline is not None:
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    return False
-            try:
-                await asyncio.wait_for(self._idle.wait(), wait)
-            except asyncio.TimeoutError:
-                return False
 
     async def stop(self, wait_workers: bool = True) -> None:
         self._running = False
@@ -247,18 +220,16 @@ class Scheduler:
         try:
             record = await self._execute(flight)
         except Exception as exc:
-            self._resolve(flight, None, error="".join(
+            self.resolve(flight, None, error="".join(
                 traceback.format_exception(type(exc), exc, exc.__traceback__)))
         else:
-            self._resolve(flight, record)
+            self.resolve(flight, record)
         finally:
             self.m_running.dec()
             self.inflight.pop(flight.key, None)
             self._wrapped.pop(flight.key, None)
             self._slots.release()
             self._wakeup.set()
-            if not self.busy:
-                self._idle.set()
 
     async def _run_batch(self, flights: "list[Flight]") -> None:
         """Run compatible flights as one lockstep batch, with fallback.
@@ -281,17 +252,17 @@ class Scheduler:
             records = await self._execute_batch(flights)
             if records is not None:
                 for flight in flights:
-                    self._resolve(flight, records[flight.key])
+                    self.resolve(flight, records[flight.key])
             else:
                 for flight in flights:
                     try:
                         record = await self._execute(flight)
                     except Exception as exc:
-                        self._resolve(flight, None, error="".join(
+                        self.resolve(flight, None, error="".join(
                             traceback.format_exception(
                                 type(exc), exc, exc.__traceback__)))
                     else:
-                        self._resolve(flight, record)
+                        self.resolve(flight, record)
         finally:
             self.m_running.dec(len(flights))
             for flight in flights:
@@ -299,8 +270,6 @@ class Scheduler:
                 self._wrapped.pop(flight.key, None)
             self._slots.release()
             self._wakeup.set()
-            if not self.busy:
-                self._idle.set()
 
     async def _execute_batch(self, flights: "list[Flight]"):
         """One uncharged lockstep attempt; ``None`` means fall back."""
@@ -314,7 +283,7 @@ class Scheduler:
         submit_generation = self.pool.generation
         attempt_started = time.monotonic()
         try:
-            future, generation = self.pool.submit_batch(args)
+            future, generation = self.pool.start_batch(args)
         except (BrokenProcessPool, RuntimeError):
             if self.pool.degraded:
                 raise
@@ -360,10 +329,10 @@ class Scheduler:
             attempt_started = time.monotonic()
             submit_generation = self.pool.generation
             try:
-                future, generation = self.pool.submit(flight.worker_args())
+                future, generation = self.pool.start_point(flight.worker_args())
             except (BrokenProcessPool, RuntimeError):
                 # The pool broke under a sibling and we hit it before the
-                # rebuild: submit() itself raises.  Same treatment as a
+                # rebuild: start_point() itself raises.  Same treatment as a
                 # BrokenProcessPool from the future — rebuild (if nobody
                 # beat us to it) and resubmit uncharged.  The degraded
                 # thread pool cannot break this way; if it raises, the
@@ -423,24 +392,3 @@ class Scheduler:
             if wrapped is not None and not wrapped.done():
                 sibling.abandoned = True
                 wrapped.cancel()
-
-    # -------------------------------------------------------------- resolve
-    def _resolve(self, flight: Flight, record: RunRecord | None,
-                 error: str = "") -> None:
-        finished = time.time()
-        if record is not None:
-            self.results[flight.key] = record
-            if self.cache is not None:
-                self.cache.put(flight.key, record)
-        for job in flight.jobs:
-            job.attempts = flight.attempts
-            job.finished = finished
-            if record is not None:
-                job.state = DONE
-                job.record = record
-            else:
-                job.state = FAILED
-                job.error = error
-            self.m_completed.inc(state=job.state)
-            if job.latency is not None:
-                self.m_latency.observe(job.latency)

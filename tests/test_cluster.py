@@ -378,3 +378,59 @@ def test_cluster_rejects_bad_registrations():
             client._json("POST", "/v1/nodes/ghost/heartbeat", {})
     finally:
         assert coord.stop()
+
+
+def _free_port() -> int:
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_cluster_static_node_rejoins_after_starting_late(expected):
+    # A coordinator started before its --nodes worker declares the node
+    # dead; the monitor must keep probing it and put it back on the ring
+    # once the worker comes up, then route work to it.
+    from repro.cluster.coordinator import CoordinatorConfig, CoordinatorThread
+    from repro.service.daemon import ServiceConfig, ServiceThread
+
+    port = _free_port()
+    coord = CoordinatorThread(CoordinatorConfig(
+        port=0, nodes=(f"http://127.0.0.1:{port}",),
+        heartbeat_interval=0.1, node_timeout=0.5)).start()
+    worker = None
+    try:
+        client = ServiceClient(coord.base_url)
+        deadline = time.monotonic() + 10.0
+        while client.healthz()["nodes"]["dead"] != 1:
+            assert time.monotonic() < deadline, client.healthz()
+            time.sleep(0.05)
+        worker = ServiceThread(ServiceConfig(port=port, jobs=1)).start()
+        deadline = time.monotonic() + 10.0
+        while client.healthz()["routable"] != 1:
+            assert time.monotonic() < deadline, client.healthz()
+            time.sleep(0.05)
+        assert client.healthz()["nodes"]["alive"] == 1
+        [(job, record)] = client.run_grid(GRID[:1], timeout=60.0)
+        want = expected[(job["request"]["workload"],
+                         job["request"]["policy"])]
+        assert ResultCache.serialize(record) == want
+        metrics = client.metrics()
+        node = f"static:127.0.0.1:{port}"
+        assert metrics[f'repro_cluster_forwards_total{{node="{node}"}}'] == 1
+        assert metrics["repro_cluster_local_runs_total"] == 0
+    finally:
+        if worker is not None:
+            worker.stop()
+        assert coord.stop()
+
+
+def test_cluster_chaos_drill_passes_at_the_ci_seed():
+    # The gating CI drill: node faults are keyed on admitted work, so the
+    # kill and the partition land inside the campaign on every run.
+    from repro.cluster.chaos import cluster_chaos_smoke
+
+    messages: list[str] = []
+    assert cluster_chaos_smoke(seed=20240808, log=messages.append), \
+        "\n".join(messages)
