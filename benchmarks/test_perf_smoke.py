@@ -56,7 +56,6 @@ _CALIBRATION_ITERS = 200_000
 #: repro.uarch.core / repro.uarch.specialize / repro.harness.lockstep.
 _FEATURE_FLAGS = {
     "cycle_skip": "REPRO_NO_CYCLE_SKIP",
-    "dyn_pool": "REPRO_NO_DYN_POOL",
     "specialize": "REPRO_NO_SPECIALIZE",
     "lockstep": "REPRO_NO_LOCKSTEP",
 }

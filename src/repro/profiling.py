@@ -43,7 +43,6 @@ _STAGE_FUNCTIONS = {
     "_propagate": "wakeup",
     "_commit": "commit",
     "_squash_after": "squash",
-    "_alloc_dyn_slow": "alloc",
 }
 
 

@@ -54,11 +54,6 @@ from .horizon import WarpStats, warp_to_horizon
 from .stats import CoreStats
 from .trace import ObservationTrace
 
-#: Upper bound on the DynInst free list: enough to cover the ROB + fetch
-#: queue + retire FIFO of any realistic configuration without letting a
-#: pathological one hoard memory.
-_DYN_POOL_MAX = 1024
-
 EMPTY_DEPS: frozenset[int] = frozenset()
 
 
@@ -104,7 +99,6 @@ class OooCore:
         record_observations: bool = False,
         use_compiler_info: bool = True,
         cycle_skip: bool | None = None,
-        recycle_dyninsts: bool | None = None,
         specialize: bool | None = None,
     ):
         self.program = program
@@ -128,19 +122,13 @@ class OooCore:
         self._decoded = decoded_image(program, self.config)
         self._use_compiler_info = use_compiler_info
 
-        # Performance-mode knobs.  Both default on and both are required
-        # to be *bit-invisible*: simulated results are identical with them
-        # off (REPRO_NO_CYCLE_SKIP=1 / REPRO_NO_DYN_POOL=1 force the
-        # reference paths, which is what the equivalence suite compares
-        # against).
+        # Performance-mode knob, default on and required to be
+        # *bit-invisible*: simulated results are identical with it off
+        # (REPRO_NO_CYCLE_SKIP=1 forces the reference path, which is what
+        # the equivalence suite compares against).
         if cycle_skip is None:
             cycle_skip = os.environ.get("REPRO_NO_CYCLE_SKIP") != "1"
         self._cycle_skip = cycle_skip
-        if recycle_dyninsts is None:
-            recycle_dyninsts = os.environ.get("REPRO_NO_DYN_POOL") != "1"
-        # record_pipeline keeps every retired DynInst alive for timeline
-        # inspection — exactly what recycling would overwrite.
-        self._recycle = recycle_dyninsts and not record_pipeline
         # Region specialization: per-PC execute/address/extend functions,
         # exec-compiled once per (image, latency profile) and attached to
         # the shared DecodedInst records (.specialize).  Bit-invisible by
@@ -168,18 +156,6 @@ class OooCore:
         # Grid-point label threaded into SimulationTimeout by lockstep
         # batches so a multi-point worker failure names the guilty point.
         self.point_label: str | None = None
-        self._dyn_pool: list[DynInst] = []
-        # Records recycled straight out of the squashed fetch queue: they
-        # were never renamed/issued, so allocation from this pool takes the
-        # cheaper ``reset_light`` path (~1/3 of the field stores).  On
-        # squash-heavy workloads most fetched instructions die here, which
-        # makes this the hottest allocation source.
-        self._dyn_pool_light: list[DynInst] = []
-        # Committed records awaiting reclamation: (barrier_seq, dyn) where
-        # barrier_seq is the fetch frontier at commit time.  Once every
-        # instruction fetched before the commit has drained, nothing live
-        # can reference the record and it may be recycled.
-        self._retire_fifo: deque[tuple[int, DynInst]] = deque()
         self.warp_stats = WarpStats()
 
         # Architectural state
@@ -409,8 +385,6 @@ class OooCore:
         budget = self.config.fetch_width
         use_compiler_info = self._use_compiler_info
         stats = self.stats
-        dyn_pool = self._dyn_pool
-        dyn_pool_light = self._dyn_pool_light
         reconv_live = self._reconv_live
         predictor = self.predictor
         hfetch = self.hierarchy.fetch
@@ -436,14 +410,7 @@ class OooCore:
                         return
                 seq = self._next_seq
                 self._next_seq = seq + 1
-                if dyn_pool_light:
-                    dyn = dyn_pool_light.pop()
-                    dyn.reset_light(seq, dec, cycle)
-                elif dyn_pool:
-                    dyn = dyn_pool.pop()
-                    dyn.reset(seq, dec, cycle)
-                else:
-                    dyn = self._alloc_dyn_slow(seq, dec, cycle)
+                dyn = DynInst(seq=seq, inst=dec.inst, fetch_cycle=cycle, dec=dec)
                 stats.fetched += 1
                 budget -= 1
 
@@ -507,11 +474,6 @@ class OooCore:
                     if inst.rd != 0:
                         self.ras.push(dec.fallthrough)  # indirect call
                     if predicted is None:
-                        # Explicit null: recycled records keep stale
-                        # prediction fields (see DynInst.reset), and the
-                        # resolve path distinguishes a stalled jalr by
-                        # ``predicted_target is None``.
-                        dyn.predicted_target = None
                         self.fetch_stalled_on = dyn
                         return
                     dyn.predicted_target = predicted
@@ -527,46 +489,6 @@ class OooCore:
         finally:
             self.fetch_pc = pc
             self._last_fetch_line = last_line
-
-    def _alloc_dyn_slow(self, seq: int, dec, cycle: int) -> DynInst:
-        """Allocation slow path: replenish the free list, else construct.
-
-        (The fast path — pop from a non-empty pool — is inlined in
-        :meth:`_fetch`.)  A committed record becomes recyclable once every
-        instruction fetched before its commit has itself left the window
-        (committed or squashed): after that, no live producer link,
-        store-forward link, or checkpointed rename map can reference it
-        (squash-restore nulls out committed producers, see
-        :meth:`_squash_after`).  Squashed records are recycled eagerly by
-        the squash path itself, which scrubs the scheduler heaps and
-        unlinks consumer-list membership first; fetch-queue casualties land
-        in the light pool (cheaper ``reset_light``), ROB casualties here.
-        Sweeping the retire FIFO only when the pool runs dry is safe: the
-        barrier condition is monotonic.
-        """
-        if self._recycle:
-            fifo = self._retire_fifo
-            if fifo:
-                rob = self.rob
-                if rob:
-                    min_live = rob[0].seq
-                elif self.fetch_queue:
-                    min_live = self.fetch_queue[0].seq
-                else:
-                    min_live = seq
-                pool = self._dyn_pool
-                while fifo and fifo[0][0] <= min_live:
-                    dyn = fifo.popleft()[1]
-                    if len(pool) < _DYN_POOL_MAX:
-                        pool.append(dyn)
-                if pool:
-                    dyn = pool.pop()
-                    dyn.reset(seq, dec, cycle)
-                    return dyn
-            # Pool dry: allocate via the reset() twin of the recycle path,
-            # skipping the dataclass __init__ keyword machinery.
-            return DynInst.fresh(seq, dec, cycle)
-        return DynInst(seq=seq, inst=dec.inst, fetch_cycle=cycle, dec=dec)
 
     def _front_checkpoint(self, dyn: DynInst) -> Checkpoint:
         """Front-end snapshot; the rename map is added at dispatch."""
@@ -644,7 +566,6 @@ class OooCore:
                     dyn.src1_producer = producer
                     if not producer.propagated:
                         dyn.waiting_on += 1
-                        dyn.enlisted = 1
                         producer.consumers.append(dyn)
                 else:
                     dyn.src1_value = arf[rs]
@@ -656,7 +577,6 @@ class OooCore:
                     dyn.src2_producer = producer
                     if not producer.propagated:
                         dyn.waiting_on += 1
-                        dyn.enlisted |= 2
                         producer.consumers.append(dyn)
                 else:
                     dyn.src2_value = arf[rs]
@@ -1174,7 +1094,7 @@ class OooCore:
         # full window before the squash) instead of rescanning the survivors.
         rob = self.rob
         observations = self.observations
-        squashed_rob: list[DynInst] = []
+        squashed_n = 0
         stale_ready = False
         stale_comp = False
         while rob and rob[-1].seq > boundary:
@@ -1184,7 +1104,8 @@ class OooCore:
                 observations.squashed.add(entry.seq)
             stage = entry.stage
             entry.stage = Stage.SQUASHED
-            squashed_rob.append(entry)
+            entry.drop_links()
+            squashed_n += 1
             opcode = entry.opcode
             if stage is Stage.DISPATCHED and opcode is not Opcode.HALT:
                 self.iq_count -= 1
@@ -1199,13 +1120,12 @@ class OooCore:
                 self.sq_count -= 1
             self.unresolved_ctrl.discard(entry.seq)
             self.inflight_fences.discard(entry.seq)
-        self.stats.squashed_insts += len(squashed_rob)
+        self.stats.squashed_insts += squashed_n
 
         # Scrub squashed entries out of the scheduler heaps instead of
         # leaving them for lazy deletion.  Pop order depends only on the
         # (unique) keys, never on the internal array layout, so filtering
-        # and re-heapifying is bit-identical to lazily skipping them — and
-        # it is what makes the squashed records below safe to recycle.
+        # and re-heapifying is bit-identical to lazily skipping them.
         # (Only entries that were DISPATCHED-and-ready or ISSUED can be in
         # a heap, so the scans run only when the pop loop saw one.)
         ready = self.ready
@@ -1241,24 +1161,11 @@ class OooCore:
                 s for s in self.serialize_wait if s.seq <= boundary
             ]
 
-        # Fetch-queue records go straight back to the free list: a FETCHED
-        # record was never renamed (no producer links or consumers), never
-        # entered the ready/completion heaps (lazy deletion never sees it),
-        # and ``fetch_stalled_on`` — the only external reference a fetched
-        # record can acquire — is cleared below.  Recycling here is what
-        # keeps the pool warm on squash-heavy workloads, where most fetched
-        # instructions die in the queue and would otherwise force a fresh
-        # allocation per wrong-path instruction.
         fetch_queue = self.fetch_queue
         if fetch_queue:
-            pool = self._dyn_pool_light
-            room = _DYN_POOL_MAX - len(pool) if self._recycle else 0
             for entry in fetch_queue:
                 entry.squashed = True
                 entry.stage = Stage.SQUASHED
-                if room > 0:
-                    pool.append(entry)
-                    room -= 1
             fetch_queue.clear()
 
         checkpoint = dyn.checkpoint
@@ -1276,8 +1183,7 @@ class OooCore:
         # order that writer's result/taint is exactly what the ARF holds,
         # and its already-pruned lineage sets only ever contained seqs that
         # resolved/retired before it committed (inert in every membership
-        # query).  This is also what lets the free-list recycle committed
-        # records without a restored checkpoint resurrecting them.
+        # query).
         for i, producer in enumerate(self.rename_map):
             if producer is not None and (
                 producer.squashed or producer.stage is Stage.COMMITTED
@@ -1309,36 +1215,6 @@ class OooCore:
         self._last_fetch_line = None
         self._retry_event = True
 
-        # Recycle the squashed ROB records.  By this point every structure
-        # that could reference one has been purged: the scheduler heaps were
-        # scrubbed above, the seq-filtered lists dropped them, and the
-        # restored rename map nulled them.  The one remaining class of
-        # references is producer consumer-lists — a consumer is always
-        # younger than its producer, so a *live* producer may still list a
-        # squashed consumer; ``enlisted`` records exactly which lists the
-        # record joined at rename.  Tail-pop order is youngest-first, so
-        # consumers are unlinked while their producers' lists are intact; a
-        # producer squashed in the same batch is skipped (its list dies with
-        # it).
-        if self._recycle and squashed_rob:
-            pool = self._dyn_pool
-            room = _DYN_POOL_MAX - len(pool)
-            for entry in squashed_rob:
-                e = entry.enlisted
-                if e:
-                    if e & 1:
-                        p = entry.src1_producer
-                        if not p.squashed:
-                            p.consumers.remove(entry)
-                    if e & 2:
-                        p = entry.src2_producer
-                        if not p.squashed:
-                            p.consumers.remove(entry)
-                    entry.enlisted = 0
-                if room > 0:
-                    pool.append(entry)
-                    room -= 1
-
     # ----------------------------------------------------------------- commit
     def _commit(self, cycle: int) -> None:
         width = self.config.commit_width
@@ -1350,8 +1226,6 @@ class OooCore:
         observations = self.observations
         record_trace = self.record_trace
         record_pipeline = self.record_pipeline
-        recycle = self._recycle
-        retire_fifo = self._retire_fifo
         # Retirement bookkeeping is batched: the committed counters, the
         # watchdog timestamp, and the retry event are written once per
         # commit packet instead of once per instruction.
@@ -1419,10 +1293,7 @@ class OooCore:
                 arf_taint[dest] = dyn.out_tainted
                 if rename_map[dest] is dyn:
                     rename_map[dest] = None
-
-            if recycle:
-                # Reclaimable once everything fetched so far has drained.
-                retire_fifo.append((self._next_seq, dyn))
+            dyn.drop_links()
         if committed_n:
             stats.committed += committed_n
             self._last_commit_cycle = cycle

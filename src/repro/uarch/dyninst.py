@@ -58,10 +58,11 @@ class Checkpoint:
 class DynInst:
     """One in-flight dynamic instruction.
 
-    Slotted: the core allocates one of these per fetched instruction, so the
-    per-instance ``__dict__`` would be the single largest allocation on the
-    simulator's hot path.  ``opcode``/``pc`` are materialized at construction
-    instead of chaining through ``self.inst`` on every scheduler query.
+    Slotted: the core allocates one of these per fetched instruction and
+    never reuses it for another, so the per-instance ``__dict__`` would be
+    the single largest allocation on the simulator's hot path.
+    ``opcode``/``pc`` are materialized at construction instead of chaining
+    through ``self.inst`` on every scheduler query.
     """
 
     seq: int
@@ -117,11 +118,6 @@ class DynInst:
 
     # Scheduler bookkeeping
     waiting_on: int = 0
-    # Which producer consumer-lists this record joined at rename (bit 0 =
-    # src1, bit 1 = src2).  Unlike ``waiting_on`` this never decrements:
-    # list membership outlives wakeup, and the squash path needs to know
-    # exactly which lists to unlink from before recycling the record.
-    enlisted: int = 0
     consumers: list = field(default_factory=list)
     squashed: bool = False
     propagated: bool = False  # value visible to dependents (NDA defers this)
@@ -130,107 +126,19 @@ class DynInst:
         self.opcode = self.inst.opcode
         self.pc = self.inst.pc
 
-    @classmethod
-    def fresh(cls, seq: int, dec, fetch_cycle: int) -> "DynInst":
-        """Allocate a record the way :meth:`reset` initializes one.
+    def drop_links(self) -> None:
+        """Forget every link to another record once this one left the window.
 
-        Construction-path twin of the free-list fast path: skips the
-        dataclass ``__init__``/``__post_init__`` machinery (keyword
-        plumbing plus per-field default processing) and funnels through
-        the same ``reset`` that pool recycling uses, so both allocation
-        paths are definitionally identical.
+        Called at commit and at squash, after which nothing reads them.
+        Kept, a retired record would hold its producers alive, and they
+        theirs, along a whole dependence chain; producer/consumer pairs
+        would also stay tied in cycles that only the garbage collector
+        frees.
         """
-        dyn = object.__new__(cls)
-        dyn.consumers = []
-        # reset() deliberately leaves the prediction slots untouched (see
-        # its docstring); seed them once here so every slot exists — a
-        # dataclass __repr__ of a never-executed record must not raise.
-        dyn.predicted_taken = False
-        dyn.predicted_target = None
-        dyn.predictor_context = None
-        dyn.actual_taken = None
-        dyn.actual_target = None
-        dyn.mispredicted = False
-        dyn.reset(seq, dec, fetch_cycle)
-        return dyn
-
-    def reset(self, seq: int, dec, fetch_cycle: int) -> None:
-        """Reinitialize a recycled record (free-list pool fast path).
-
-        Must restore every field a reader could observe before a writer
-        runs.  The pool only recycles committed instructions whose window
-        has fully drained, so no live reference observes the old state —
-        but the new incarnation must not inherit any of it either.
-
-        Deliberate exception: the six prediction fields (``predicted_*``,
-        ``predictor_context``, ``actual_*``, ``mispredicted``) stay stale.
-        Every read of them is dominated by a write in the same incarnation:
-        fetch writes the predicted fields for branches (always) and jalrs
-        (target, with an explicit ``None`` on the BTB/RAS-miss stall path),
-        execute writes the actual fields and ``mispredicted`` for both, and
-        no non-control path reads any of them — the jalr resolve path only
-        consults ``mispredicted`` when ``predicted_target`` is not None,
-        which execute then guarantees was freshly written.  ``checkpoint``
-        is NOT part of the exception: dispatch probes it on every record.
-        """
-        inst = dec.inst
-        self.seq = seq
-        self.inst = inst
-        self.fetch_cycle = fetch_cycle
-        self.stage = Stage.FETCHED
-        self.dec = dec
-        self.opcode = dec.opcode
-        self.pc = dec.pc
-        self.checkpoint = None
-        self.src1_producer = None
-        self.src2_producer = None
-        self.src1_value = 0
-        self.src2_value = 0
-        self.src1_arf_tainted = False
-        self.src2_arf_tainted = False
-        self.control_deps = EMPTY
-        self.out_deps = EMPTY
-        self.out_roots = EMPTY
-        self.out_tainted = False
-        self.result = 0
-        self.mem_address = None
-        self.store_data = 0
+        self.src1_producer = self.src2_producer = None
         self.forwarded_from = None
-        self.dispatch_cycle = -1
-        self.issue_cycle = -1
-        self.complete_cycle = -1
-        self.commit_cycle = -1
-        self.first_gated_cycle = -1
-        self.gated_cycles = 0
-        self.waiting_on = 0
-        self.enlisted = 0
-        self.consumers.clear()
-        self.squashed = False
-        self.propagated = False
-
-    def reset_light(self, seq: int, dec, fetch_cycle: int) -> None:
-        """Reinitialize a record recycled straight from the fetch queue.
-
-        A squashed FETCHED record was never renamed, issued, or executed:
-        the only fields a fetch stage can touch are the identity fields,
-        ``control_deps``, ``checkpoint``, and — for control
-        instructions — the prediction fields (left stale under the same
-        write-before-read contract :meth:`reset` documents).  Everything
-        else still holds its construction default, so restoring just these
-        is equivalent to :meth:`reset` (the fetch-queue squash path is the
-        single producer of records eligible for this, see
-        ``OooCore._squash_after``).
-        """
-        self.seq = seq
-        self.inst = dec.inst
-        self.fetch_cycle = fetch_cycle
-        self.stage = Stage.FETCHED
-        self.dec = dec
-        self.opcode = dec.opcode
-        self.pc = dec.pc
         self.checkpoint = None
-        self.control_deps = EMPTY
-        self.squashed = False
+        self.consumers.clear()
 
     # ------------------------------------------------------------- operands
     def value_of_src1(self) -> int:

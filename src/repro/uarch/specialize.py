@@ -29,7 +29,7 @@ per load completion).  The generated ops themselves are policy-independent
 and are built once per :class:`DecodedProgram` instance.
 
 ``REPRO_NO_SPECIALIZE=1`` forces the interpreted reference path, mirroring
-``REPRO_NO_CYCLE_SKIP``/``REPRO_NO_DYN_POOL``; the equivalence suite
+``REPRO_NO_CYCLE_SKIP``; the equivalence suite
 (``tests/test_specialize.py``) compares the two arm-for-arm over every
 workload and policy.
 """

@@ -1,14 +1,14 @@
 """Shared fast-path equivalence harness for the suite x policy sweeps.
 
-The core's bit-invisible fast paths — event-horizon cycle skipping, the
-DynInst free list and per-PC specialization — must each leave a run
-*bit-identical* to the all-off interpreted reference.  The reference is
-run once per (workload, policy) and memoised, so every arm checked
-against it in one pytest process reuses the same run:
+The core's bit-invisible fast paths — event-horizon cycle skipping and
+per-PC specialization — must each leave a run *bit-identical* to the
+all-off interpreted reference.  The reference is run once per
+(workload, policy) and memoised, so every arm checked against it in one
+pytest process reuses the same run:
 
 * ``tests/test_event_horizon.py`` checks the ``all-on`` arm;
 * ``tests/test_specialize.py`` checks the ``specialize-only`` arm
-  (cycle skip and pool off).
+  (cycle skip off).
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ POLICIES = tuple(sorted(ALL_POLICY_NAMES))
 MAX_CYCLES = 5_000_000
 
 #: Fast-path knob settings per sweep arm; the reference turns every one off.
-REFERENCE = {"specialize": False, "cycle_skip": False, "recycle_dyninsts": False}
+REFERENCE = {"specialize": False, "cycle_skip": False}
 ARMS = {
-    "all-on": {"specialize": True, "cycle_skip": True, "recycle_dyninsts": True},
-    "specialize-only": {
-        "specialize": True, "cycle_skip": False, "recycle_dyninsts": False,
-    },
+    "all-on": {"specialize": True, "cycle_skip": True},
+    "specialize-only": {"specialize": True, "cycle_skip": False},
 }
 
 

@@ -1,9 +1,9 @@
 """Fast-path equivalence harness + event-horizon safety.
 
 The core's bit-invisible fast paths — event-horizon cycle skipping
-(:mod:`repro.uarch.horizon`), the DynInst free list and per-PC
-specialization (:mod:`repro.uarch.specialize`) — share one contract: a
-run with them on must be *bit-identical* to the all-off interpreted
+(:mod:`repro.uarch.horizon`) and per-PC specialization
+(:mod:`repro.uarch.specialize`) — share one contract: a run with them
+on must be *bit-identical* to the all-off interpreted
 reference — same cycle count, same CoreStats, same architectural
 registers, same memory-hierarchy counters — for every workload and every
 policy.
@@ -133,7 +133,6 @@ def test_warp_never_skips_past_a_completion(source, policy_name, config):
         config=config,
         policy=make_policy(policy_name),
         cycle_skip=False,
-        recycle_dyninsts=False,
     ).run(max_cycles=2_000_000)
     assert fast.stats == ref.stats
     assert fast.regs == ref.regs
@@ -145,7 +144,7 @@ def test_timeout_is_bit_identical_and_enriched():
     program = build_workload("treewalk", "test").assemble()
     limit = 500
     errors = []
-    for kwargs in ({}, {"cycle_skip": False, "recycle_dyninsts": False}):
+    for kwargs in ({}, {"cycle_skip": False}):
         core = OooCore(program, policy=make_policy("levioso"), **kwargs)
         with pytest.raises(SimulationTimeout) as exc_info:
             core.run(max_cycles=limit)
@@ -162,14 +161,11 @@ def test_timeout_is_bit_identical_and_enriched():
 def test_env_overrides_force_reference_paths(monkeypatch):
     program = build_workload("gather", "test").assemble()
     monkeypatch.setenv("REPRO_NO_CYCLE_SKIP", "1")
-    monkeypatch.setenv("REPRO_NO_DYN_POOL", "1")
     core = OooCore(program, policy=make_policy("levioso"))
     assert not core._cycle_skip
-    assert not core._recycle
     result = core.run()
     assert core.warp_stats.warps == 0
     monkeypatch.delenv("REPRO_NO_CYCLE_SKIP")
-    monkeypatch.delenv("REPRO_NO_DYN_POOL")
     fast = OooCore(program, policy=make_policy("levioso")).run()
     assert fast.stats == result.stats
     assert fast.regs == result.regs

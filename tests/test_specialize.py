@@ -37,13 +37,12 @@ def _reference(program, policy_name, config=None, max_cycles=5_000_000):
         policy=make_policy(policy_name),
         specialize=False,
         cycle_skip=False,
-        recycle_dyninsts=False,
     ).run(max_cycles=max_cycles)
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_suite_equivalence_under_every_policy(name):
-    """Specialized per-PC ops alone (cycle skip and pool off) are
+    """Specialized per-PC ops alone (cycle skip off) are
     bit-identical to the interpreted reference across the suite x policy
     grid."""
     assert_arm_matches_reference(name, "specialize-only")
@@ -99,7 +98,7 @@ def test_timeout_is_bit_identical_across_modes():
     errors = []
     for kwargs in (
         {"specialize": True},
-        {"specialize": False, "cycle_skip": False, "recycle_dyninsts": False},
+        {"specialize": False, "cycle_skip": False},
     ):
         core = OooCore(program, policy=make_policy("levioso"), **kwargs)
         with pytest.raises(SimulationTimeout) as exc_info:
