@@ -1,7 +1,12 @@
 """Fig. 3: delayed-transmitter breakdown per policy.
 
-Gated loads per kilo-instruction and mean delay cycles — the mechanism
-behind the Fig. 2 overheads.
+Gated loads per kilo-instruction and mean "delay" — the mechanism
+behind the Fig. 2 overheads.  The delay column is
+``CoreStats.mean_gate_delay``: denied policy re-evaluations per gated
+load, not cycles waited.  A blocked load is re-evaluated only on cycles
+with a retry event, so a long quiet wait counts once (on
+``fuzz/s7/i0/f41`` under levioso: 126 denials across 20 gated loads,
+while the 19 that commit waited 2,266 cycles).
 """
 
 from __future__ import annotations

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..asm.program import STACK_TOP, Program
 from ..branch import BranchTargetBuffer, ReturnAddressStack, make_predictor
@@ -55,6 +57,9 @@ from .stats import CoreStats
 from .trace import ObservationTrace
 
 EMPTY_DEPS: frozenset[int] = frozenset()
+
+#: Sort/bisect key of the seq-ordered pending lists.
+_SEQ = attrgetter("seq")
 
 
 @dataclass
@@ -196,14 +201,17 @@ class OooCore:
         self.lq_count = 0
         self.sq_count = 0
         self.ready: list[tuple[int, DynInst]] = []      # (seq, dyn) heap
-        self.pending_loads: list[DynInst] = []          # blocked mem ops
+        self.pending_loads: list[DynInst] = []          # blocked mem ops (seq order)
         self.pending_ctrl: list[DynInst] = []           # policy-gated branches
         self.serialize_wait: list[DynInst] = []         # rdcycle/fence
         self.deferred_values: list[DynInst] = []        # NDA-deferred loads
         self.completions: list[tuple[int, int, DynInst]] = []
         self.unresolved_ctrl: set[int] = set()
         self.inflight_loads: dict[int, DynInst] = {}
-        self.inflight_fences: set[int] = set()
+        # Seqs of dispatched, uncommitted fences in seq order: dispatch
+        # appends, commit pops the left end, a squash pops the right end,
+        # so ``[0]`` is always the oldest fence in flight.
+        self.inflight_fences: deque[int] = deque()
 
         self.hierarchy = MemoryHierarchy(self.config.mem)
         self._line_bits = self.hierarchy.l1i.line_bits
@@ -602,7 +610,7 @@ class OooCore:
 
             iq_count += 1
             if opcode is Opcode.FENCE:
-                self.inflight_fences.add(dyn.seq)
+                self.inflight_fences.append(dyn.seq)
             if is_load:
                 lq_count += 1
                 self.inflight_loads[dyn.seq] = dyn
@@ -643,27 +651,47 @@ class OooCore:
             self.deferred_values = still_deferred
 
         # Retry policy/memdep-blocked memory ops first (oldest first).
-        if self.pending_loads and retry:
-            self.pending_loads.sort(key=lambda d: d.seq)
-            still_blocked: list[DynInst] = []
-            for dyn in self.pending_loads:
-                if dyn.squashed:
-                    continue
-                if budget <= 0 or mem_ports <= 0:
-                    still_blocked.append(dyn)
-                    self._retry_event = True  # resource block: retry next cycle
-                    continue
-                issued = self._try_issue_mem(dyn, cycle)
-                if issued:
-                    budget -= 1
-                    mem_ports -= 1
+        pending = self.pending_loads
+        if pending and retry:
+            # Fence-ordered tail, counted in bulk: every op younger than
+            # the oldest in-flight fence would fail the ordering check in
+            # _try_issue_mem and only bump memdep_blocked_cycles.  That is
+            # exact because the fence deque cannot change inside one issue
+            # pass (only commit and squash shrink it), a failed ordering
+            # check consumes no budget or port, each pending op already
+            # computed its address on its first attempt (the address
+            # precedes the check), and _squash_after has already dropped
+            # squashed ops from this list.  So only the head is attempted.
+            fences = self.inflight_fences
+            split = (
+                bisect_right(pending, fences[0], key=_SEQ)
+                if fences else len(pending)
+            )
+            tail = len(pending) - split
+            if split:
+                still_blocked: list[DynInst] = []
+                for i in range(split):
+                    dyn = pending[i]
+                    if budget <= 0 or mem_ports <= 0:
+                        still_blocked.append(dyn)
+                        self._retry_event = True  # resource block: retry next cycle
+                        continue
+                    issued = self._try_issue_mem(dyn, cycle)
+                    if issued:
+                        budget -= 1
+                        mem_ports -= 1
+                    else:
+                        still_blocked.append(dyn)
+                pending[:split] = still_blocked
+            if tail:
+                if budget > 0 and mem_ports > 0:
+                    self.stats.memdep_blocked_cycles += tail
                 else:
-                    still_blocked.append(dyn)
-            self.pending_loads = still_blocked
+                    self._retry_event = True  # resource block: retry next cycle
 
         # Retry policy-gated control instructions (oldest first).
         if self.pending_ctrl and retry:
-            self.pending_ctrl.sort(key=lambda d: d.seq)
+            self.pending_ctrl.sort(key=_SEQ)
             still_gated: list[DynInst] = []
             for dyn in self.pending_ctrl:
                 if dyn.squashed:
@@ -735,7 +763,7 @@ class OooCore:
                         budget -= 1
                         mem_ports -= 1
                     else:
-                        self.pending_loads.append(dyn)
+                        insort(self.pending_loads, dyn, key=_SEQ)
                     continue
 
                 # S_CTRL: policy-gated branch/jalr, then the ALU port below.
@@ -845,7 +873,8 @@ class OooCore:
             return True
 
         # Memory ordering: an older in-flight fence blocks younger memory ops.
-        if self.inflight_fences and min(self.inflight_fences) < dyn.seq:
+        fences = self.inflight_fences
+        if fences and fences[0] < dyn.seq:
             self.stats.memdep_blocked_cycles += 1
             return False
 
@@ -1119,8 +1148,10 @@ class OooCore:
             elif opcode.is_store:
                 self.sq_count -= 1
             self.unresolved_ctrl.discard(entry.seq)
-            self.inflight_fences.discard(entry.seq)
         self.stats.squashed_insts += squashed_n
+        fences = self.inflight_fences
+        while fences and fences[-1] > boundary:
+            fences.pop()
 
         # Scrub squashed entries out of the scheduler heaps instead of
         # leaving them for lazy deletion.  Pop order depends only on the
@@ -1284,8 +1315,8 @@ class OooCore:
                     self.lq_count -= 1
                 elif cc == C_BRANCH:
                     stats.committed_branches += 1
-                else:  # C_FENCE
-                    self.inflight_fences.discard(dyn.seq)
+                else:  # C_FENCE: commit is in order, so it is the oldest
+                    self.inflight_fences.popleft()
 
             dest = dec.dest
             if dest is not None:

@@ -32,10 +32,17 @@ class CoreStats:
     # have to restrict vs how many Levioso truly must.
     loads_speculative_at_issue: int = 0
     loads_true_dep_at_issue: int = 0
+    # The *_cycles gate counters count denied attempts, not elapsed
+    # cycles: a blocked instruction is re-evaluated only on cycles with a
+    # retry event (a completion, commit, squash or cache fill), once per
+    # such issue pass, so a long quiet wait counts once.
     loads_gated: int = 0          # distinct loads blocked by the policy
-    load_gate_cycles: int = 0     # total cycles loads waited on the policy
+    load_gate_cycles: int = 0     # denied policy re-evaluations of loads
     branches_gated: int = 0       # distinct branches blocked by the policy
-    branch_gate_cycles: int = 0
+    branch_gate_cycles: int = 0   # denied policy re-evaluations of branches
+    # Failed memory-ordering attempts: blocked behind an older in-flight
+    # fence or an older store (unknown address / partial overlap).  Can
+    # exceed ``cycles``: every blocked op counts once per issue pass.
     memdep_blocked_cycles: int = 0
 
     @property
@@ -62,7 +69,9 @@ class CoreStats:
 
     @property
     def mean_gate_delay(self) -> float:
-        """Average cycles a gated load waited (Fig. 3)."""
+        """Denied policy re-evaluations per gated load (Fig. 3's "delay").
+
+        Not cycles waited: see the note on ``load_gate_cycles``."""
         if not self.loads_gated:
             return 0.0
         return self.load_gate_cycles / self.loads_gated
