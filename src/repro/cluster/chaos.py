@@ -33,8 +33,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..faults import FaultPlan, FaultSpec, uninstall
-from ..harness.cache import ResultCache
-from ..harness.parallel import ParallelRunner
+from ..harness.resilience import serial_reference
 from ..service.client import ServiceClient
 from .coordinator import CoordinatorConfig, CoordinatorThread
 
@@ -103,13 +102,7 @@ def cluster_chaos_smoke(
 
     pairs = [(w, p) for w in workloads for p in policies]
 
-    uninstall()
-    reference = ParallelRunner(scale=scale, jobs=1)
-    expected = {
-        (w, p): ResultCache.serialize(reference.run(w, p).slim())
-        for w, p in pairs
-    }
-    say(f"reference: {reference.simulations} clean serial simulations")
+    matches = serial_reference(pairs, scale, say)
 
     work_dir = Path(tempfile.mkdtemp(prefix="repro-cluster-chaos-"))
     plan = cluster_chaos_plan(seed, state_dir=work_dir / "faults").install()
@@ -143,14 +136,8 @@ def cluster_chaos_smoke(
             say(f"cluster resolved {len(results)} job(s) under chaos; "
                 f"faults fired: {plan.fired()}")
             for job, record in results:
-                got = ResultCache.serialize(record)
-                want = expected[(job["request"]["workload"],
-                                 job["request"]["policy"])]
-                if got != want:
-                    say(f"MISMATCH {job['request']['workload']}/"
-                        f"{job['request']['policy']}: cluster record "
-                        f"differs from clean serial run")
-                    ok = False
+                ok &= matches(job["request"]["workload"],
+                              job["request"]["policy"], record, "cluster")
 
             metrics = client.metrics()
             failovers = metrics.get("repro_cluster_failovers_total", 0.0)

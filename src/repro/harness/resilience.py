@@ -1,17 +1,21 @@
-"""Supervised, fault-tolerant execution of experiment grids.
+"""Supervised, fault-tolerant execution: one supervisor for every caller.
 
-PR 1's parallel harness fans a (workload × policy × config) grid out over
-a ``ProcessPoolExecutor`` and assumes every worker returns.  This module
-removes that assumption:
+The parallel harness fans a (workload × policy × config) grid out over
+worker processes and cannot assume every worker returns; neither can the
+service's scheduler.  Both run through this module:
 
 * :class:`RetryPolicy` — per-point wall-clock timeouts and bounded
   retries with exponential backoff and deterministic jitter;
-* :func:`execute_supervised` — runs a grid under that policy, capturing
-  each point's exception (with traceback text) into a structured
-  :class:`RunOutcome` instead of letting the first raised future abort
-  the grid; detects a broken pool (killed worker) or a hung worker
-  (deadline exceeded), rebuilds the pool a bounded number of times, and
-  degrades to in-process serial execution when the pool repeatedly dies;
+* :class:`WorkerPool` — worker processes with generation-tracked
+  rebuilds, degrading to one in-process thread when they keep dying;
+* :func:`supervise` — the one attempt loop: start, await within the
+  deadline, classify (ok / failed / hung / lost), back off, until the
+  point reaches a terminal result.  DESIGN.md §13 states the taxonomy;
+* :func:`execute_supervised` — the batch entry point: runs a grid on that
+  loop with ``jobs`` slots, capturing each point's fate (with traceback
+  text) into a structured :class:`RunOutcome` instead of letting the
+  first failure abort the grid; the service's ``Scheduler`` calls the
+  same loop per flight;
 * :class:`RunJournal` — an append-only manifest of per-point outcomes
   that survives ``SIGKILL`` mid-grid (each line is flushed and fsynced),
   giving ``--resume`` exact knowledge of what already finished;
@@ -19,8 +23,8 @@ removes that assumption:
   ``harness.report`` and the CLI;
 * :func:`chaos_smoke` — the seeded end-to-end check behind
   ``repro chaos``: inject worker crashes/hangs/kills plus cache
-  corruption, and assert the final results are bit-identical to a clean
-  serial run.
+  corruption, and assert the final records are identical to a clean
+  serial run (:func:`serial_reference`, shared by every chaos drill).
 
 Simulations are deterministic pure functions of their content key, so a
 retried or re-executed point always reproduces the same record —
@@ -276,13 +280,176 @@ def process_pool(workers: int) -> cf.ProcessPoolExecutor:
 
 
 # -------------------------------------------------------------- supervisor
+#: What one attempt came to (see :meth:`WorkerPool.attempt`).
+OK, FAILED, HUNG, LOST = "ok", "failed", "hung", "lost"
+
+
+class WorkerTimeout(TimeoutError):
+    """A point overran its wall-clock budget on every allowed attempt."""
+
+
+class WorkerPool:
+    """Worker processes with generation-tracked rebuilds.
+
+    Each attempt runs in the pool generation it entered.
+    ``declare_dead(generation)`` rebuilds at most once per generation
+    (attempts observing the same death coalesce into one rebuild) and
+    cancels that generation's other live attempts, which come back
+    :data:`LOST`.  After ``max_rebuilds`` deaths the pool degrades to one
+    in-process thread.  A pool of ``processes=0`` is in-process from the
+    start and runs attempts inline in the caller's thread: its caller
+    (the batch harness at ``jobs<=1``) has nothing else on its loop, and
+    an inline run costs no thread.  No wall-clock timeout is enforceable
+    in-process: there is no worker to abandon, so a hung point simply
+    runs long.
+    """
+
+    def __init__(self, processes: int, max_rebuilds: int = 3,
+                 on_rebuild: Callable[[], None] | None = None):
+        self.processes = processes
+        self.max_rebuilds = max_rebuilds
+        self.on_rebuild = on_rebuild
+        self.generation = 0
+        self.rebuilds = 0
+        self._live: set = set()  # asyncio futures of running attempts
+        self._pool: cf.Executor | None = (
+            process_pool(processes) if processes > 0 else None)
+
+    @property
+    def degraded(self) -> bool:
+        """Worker deaths used up the rebuild budget."""
+        return self.rebuilds > self.max_rebuilds
+
+    @property
+    def in_process(self) -> bool:
+        return self.processes <= 0 or self.degraded
+
+    async def attempt(self, fn: Callable[[tuple], object], args: tuple,
+                      timeout: float | None = None) -> tuple[str, object]:
+        """Run ``fn(args)`` once; never raises for the worker.
+
+        Returns ``(OK, result)``, ``(FAILED, exception)``, ``(HUNG, None)``
+        once ``timeout`` elapsed (the generation is abandoned), or
+        ``(LOST, None)`` when the attempt died with its generation: a
+        worker was killed, or a sibling hung.
+        """
+        import asyncio
+
+        if self._pool is None:
+            await asyncio.sleep(0)  # lets a cancelled caller stop here
+            try:
+                return OK, fn(args)
+            except Exception as exc:
+                return FAILED, exc
+        generation = self.generation
+        try:
+            future = asyncio.wrap_future(self._pool.submit(fn, args))
+        except (BrokenProcessPool, RuntimeError):
+            # The pool broke under a sibling before anyone rebuilt it.  The
+            # in-process thread cannot break: it raises only once shut down.
+            if self.in_process:
+                raise
+            self.declare_dead(generation)
+            return LOST, None
+        self._live.add(future)
+        try:
+            done, _ = await asyncio.wait(
+                (future,), timeout=None if self.in_process else timeout)
+        except asyncio.CancelledError:
+            future.cancel()
+            raise
+        finally:
+            self._live.discard(future)
+        if not done:
+            future.cancel()
+            self.declare_dead(generation)
+            return HUNG, None
+        if future.cancelled():
+            return LOST, None
+        exc = future.exception()
+        if isinstance(exc, BrokenProcessPool):
+            self.declare_dead(generation)
+            return LOST, None
+        if exc is not None:
+            return FAILED, exc
+        return OK, future.result()
+
+    def declare_dead(self, generation: int) -> None:
+        """Replace the pool if ``generation`` is still the live one.
+
+        Hung workers cannot be killed portably, so the old pool is left
+        to finish (or hang) on its own while its attempts resubmit.
+        """
+        if generation != self.generation or self.in_process:
+            return
+        self.generation += 1
+        self.rebuilds += 1
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        if self.degraded:
+            # One thread, not inline: attempts serialize in-process while
+            # the caller's event loop stays free for whatever else it
+            # serves (the service's health checks and status reads).
+            self._pool = cf.ThreadPoolExecutor(max_workers=1)
+        else:
+            self._pool = process_pool(self.processes)
+        for future in self._live:
+            future.cancel()
+        if self.on_rebuild is not None:
+            self.on_rebuild()
+
+    def shutdown(self, wait: bool = True) -> None:
+        # A clean stop joins the idle workers so the executor's atexit
+        # hook finds nothing half-dead; the in-process thread may be
+        # stuck in a hung point and must not block the caller.
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait and not self.in_process,
+                                cancel_futures=True)
+
+
+async def supervise(pool: WorkerPool, policy: RetryPolicy, item: WorkItem,
+                    worker: Callable[[tuple], object]):
+    """The one attempt loop: take ``item`` to a terminal result.
+
+    Each round starts an attempt on ``pool``, awaits it within
+    ``policy.timeout`` and classifies it (:meth:`WorkerPool.attempt`).  A
+    worker exception or a hang is the item's own fault: charged against
+    ``policy.max_attempts`` and retried after ``policy.delay``.  A lost
+    attempt is not: it is resubmitted at once, uncharged, since the
+    victim of a pool death cannot be identified.
+
+    Returns the worker's result.  Raises the worker's last exception, or
+    :class:`WorkerTimeout` when the last charged attempt hung.
+    ``item.attempts`` counts charged attempts and ``item.started`` is the
+    start of the latest one.
+    """
+    import asyncio
+
+    while True:
+        item.attempts += 1
+        item.started = time.monotonic()
+        verdict, value = await pool.attempt(worker, item.args, policy.timeout)
+        if verdict == OK:
+            return value
+        if verdict == LOST:
+            item.attempts -= 1
+            continue
+        if item.attempts >= policy.max_attempts:
+            if verdict == HUNG:
+                raise WorkerTimeout(
+                    f"{item.workload}/{item.policy} exceeded "
+                    f"{policy.timeout}s wall-clock budget "
+                    f"{item.attempts} time(s)")
+            raise value
+        await asyncio.sleep(policy.delay(item.attempts, item.key))
+
+
 def _failure_outcome(item: WorkItem, exc: BaseException,
                      status: str) -> RunOutcome:
     text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
     return RunOutcome(
         key=item.key, workload=item.workload, policy=item.policy,
         status=status, attempts=item.attempts,
-        duration=time.monotonic() - item.started if item.started else 0.0,
+        duration=time.monotonic() - item.started,
         error=text,
     )
 
@@ -296,37 +463,6 @@ def _success_outcome(item: WorkItem) -> RunOutcome:
     )
 
 
-def _execute_serial(
-    items: list[WorkItem],
-    worker: Callable[[tuple], RunRecord],
-    policy: RetryPolicy,
-    on_success: Callable[[WorkItem, RunRecord], None],
-    report: ResilienceReport,
-) -> None:
-    """In-process execution with the same retry/outcome accounting.
-
-    No wall-clock timeout is enforceable here (there is no process to
-    abandon), so hung points simply run long — this is the degraded path
-    of last resort and the ``jobs=1`` path.
-    """
-    for item in items:
-        while True:
-            item.attempts += 1
-            item.started = time.monotonic()
-            try:
-                record = worker(item.args)
-            except Exception as exc:
-                if item.attempts >= policy.max_attempts:
-                    report.outcomes.append(
-                        _failure_outcome(item, exc, "failed"))
-                    break
-                time.sleep(policy.delay(item.attempts, item.key))
-                continue
-            on_success(item, record)
-            report.outcomes.append(_success_outcome(item))
-            break
-
-
 def execute_supervised(
     items: list[WorkItem],
     worker: Callable[[tuple], RunRecord],
@@ -336,154 +472,51 @@ def execute_supervised(
 ) -> ResilienceReport:
     """Run every item to a terminal outcome; never raises for a worker.
 
-    Pool mode submits each item as its own future (per-point deadlines
-    need per-point futures).  Three failure classes are distinguished:
-
-    * a future that raises — the point's own fault; charged against its
-      retry budget and retried after backoff;
-    * ``BrokenProcessPool`` — some worker died (e.g. OOM-kill); the pool
-      is rebuilt and *all* in-flight points resubmitted uncharged, since
-      the victim cannot be identified;
-    * a deadline overrun — the worker is hung; the pool is abandoned
-      (hung workers cannot be individually killed portably), the hung
-      point is charged an attempt, and innocents resubmit uncharged.
-
-    Pool deaths beyond ``policy.max_pool_rebuilds`` degrade the rest of
-    the grid to in-process serial execution.
+    Drives :func:`supervise` over the items with ``jobs`` slots, one
+    attempt per point (per-point deadlines need per-point attempts).
+    ``jobs<=1`` runs in-process from the start; pool deaths beyond
+    ``policy.max_pool_rebuilds`` degrade the rest of the grid there.
     """
+    # asyncio is imported where it is used: it adds ~60 ms to the start-up
+    # of every CLI command that merely imports the harness.
+    import asyncio
+
     report = ResilienceReport()
     if not items:
         return report
-    if jobs <= 1:
-        _execute_serial(items, worker, policy, on_success, report)
-        _feed_metrics(report)
-        return report
+    slots = min(jobs, len(items)) if jobs > 1 else 1
 
-    workers = min(jobs, len(items))
-    pool = process_pool(workers)
-    pending: dict[cf.Future, WorkItem] = {}
-    retry_at: list[tuple[float, WorkItem]] = []  # (due monotonic time, item)
+    async def drive() -> None:
+        pool = WorkerPool(slots if jobs > 1 else 0, policy.max_pool_rebuilds)
+        todo = iter(items)
 
-    def submit(item: WorkItem) -> None:
-        item.attempts += 1
-        item.started = time.monotonic()
-        pending[pool.submit(worker, item.args)] = item
-
-    def rebuild_pool() -> bool:
-        """New pool after a death; False once the rebuild budget is spent."""
-        nonlocal pool
-        report.pool_rebuilds += 1
-        pool.shutdown(wait=False, cancel_futures=True)
-        if report.pool_rebuilds > policy.max_pool_rebuilds:
-            return False
-        pool = process_pool(workers)
-        return True
-
-    def drain_to_serial() -> None:
-        """Finish everything still outstanding in-process.
-
-        Attempt charges carry over: the serial loop continues each item's
-        budget rather than restarting it (callers uncharge items whose
-        in-flight attempt was collateral damage, not their own fault).
-        """
-        report.degraded_to_serial = True
-        leftovers = list(pending.values()) + [it for _, it in retry_at]
-        pending.clear()
-        retry_at.clear()
-        _execute_serial(leftovers, worker, policy, on_success, report)
-
-    try:
-        for item in items:
-            submit(item)
-        while pending or retry_at:
-            now = time.monotonic()
-            # Re-submit retries whose backoff has elapsed.
-            due = [it for when, it in retry_at if when <= now]
-            retry_at = [(when, it) for when, it in retry_at if when > now]
-            for item in due:
-                submit(item)
-            if not pending:
-                if retry_at:
-                    time.sleep(max(min(when for when, _ in retry_at) - now, 0.0))
-                continue
-            # Wait bounded by the nearest per-point deadline or retry due.
-            wait_for = None
-            if policy.timeout is not None:
-                nearest = min(it.started + policy.timeout
-                              for it in pending.values())
-                wait_for = max(nearest - now, 0.0)
-            if retry_at:
-                nearest_retry = min(when for when, _ in retry_at) - now
-                wait_for = (min(wait_for, max(nearest_retry, 0.0))
-                            if wait_for is not None else max(nearest_retry, 0.0))
-            done, _ = cf.wait(list(pending), timeout=wait_for,
-                              return_when=cf.FIRST_COMPLETED)
-            broken: list[WorkItem] = []
-            for future in done:
-                item = pending.pop(future)
+        async def slot() -> None:
+            for item in todo:
                 try:
-                    record = future.result()
-                except BrokenProcessPool:
-                    broken.append(item)
+                    record = await supervise(pool, policy, item, worker)
+                except WorkerTimeout as exc:
+                    report.outcomes.append(
+                        _failure_outcome(item, exc, "timed-out"))
                 except Exception as exc:
-                    if item.attempts >= policy.max_attempts:
-                        report.outcomes.append(
-                            _failure_outcome(item, exc, "failed"))
-                    else:
-                        retry_at.append((
-                            time.monotonic()
-                            + policy.delay(item.attempts, item.key),
-                            item,
-                        ))
+                    report.outcomes.append(
+                        _failure_outcome(item, exc, "failed"))
                 else:
                     on_success(item, record)
                     report.outcomes.append(_success_outcome(item))
-            if broken:
-                # A worker died; every sibling future is broken too.
-                broken.extend(pending.values())
-                pending.clear()
-                for it in broken:
-                    it.attempts = max(it.attempts - 1, 0)  # uncharged
-                if not rebuild_pool():
-                    retry_at.extend((0.0, it) for it in broken)
-                    drain_to_serial()
-                    return report
-                for it in broken:
-                    submit(it)
-                continue
-            # Deadline scan: anything in flight past its budget is hung.
-            if policy.timeout is not None and pending:
-                now = time.monotonic()
-                hung = [it for it in pending.values()
-                        if now - it.started > policy.timeout]
-                if hung:
-                    innocents = [it for it in pending.values()
-                                 if it not in hung]
-                    pending.clear()
-                    alive = rebuild_pool()
-                    for it in innocents:
-                        it.attempts = max(it.attempts - 1, 0)
-                    for it in hung:
-                        if it.attempts >= policy.max_attempts:
-                            report.outcomes.append(RunOutcome(
-                                key=it.key, workload=it.workload,
-                                policy=it.policy, status="timed-out",
-                                attempts=it.attempts,
-                                duration=now - it.started,
-                                error=(f"point exceeded {policy.timeout}s "
-                                       f"wall-clock budget"),
-                            ))
-                    survivors = innocents + [
-                        it for it in hung if it.attempts < policy.max_attempts
-                    ]
-                    if not alive:
-                        retry_at.extend((0.0, it) for it in survivors)
-                        drain_to_serial()
-                        return report
-                    for it in survivors:
-                        submit(it)
+
+        tasks = [asyncio.ensure_future(slot()) for _ in range(slots)]
+        try:
+            await asyncio.gather(*tasks)
+        finally:
+            for task in tasks:
+                task.cancel()
+            pool.shutdown(wait=False)
+            report.pool_rebuilds = pool.rebuilds
+            report.degraded_to_serial = pool.degraded
+
+    try:
+        asyncio.run(drive())
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
         _feed_metrics(report)
     return report
 
@@ -568,6 +601,39 @@ def scrub_holes(rows: list[list]) -> int:
 
 
 # ------------------------------------------------------------- chaos smoke
+def serial_reference(
+    pairs: Iterable[tuple[str, str]],
+    scale: str,
+    say: Callable[[str], None],
+) -> Callable[[str, str, RunRecord, str], bool]:
+    """The clean serial run every chaos drill is judged against.
+
+    Uninstalls any fault plan, simulates each ``(workload, policy)`` pair
+    in-process, and returns ``check(workload, policy, record, source)``:
+    True iff ``record`` serializes exactly like the reference record;
+    otherwise the mismatch is reported through ``say``.
+    """
+    from ..faults import uninstall
+    from .cache import ResultCache
+    from .runner import ExperimentRunner
+
+    uninstall()
+    runner = ExperimentRunner(scale=scale)
+    expected = {(w, p): ResultCache.serialize(runner.run(w, p))
+                for w, p in pairs}
+    say(f"reference: {runner.simulations} clean serial simulations")
+
+    def check(workload: str, policy: str, record: RunRecord,
+              source: str) -> bool:
+        if ResultCache.serialize(record) == expected[(workload, policy)]:
+            return True
+        say(f"MISMATCH {workload}/{policy}: {source} record differs from "
+            f"the clean serial run")
+        return False
+
+    return check
+
+
 def chaos_smoke(
     seed: int = 0,
     scale: str = "test",
@@ -596,15 +662,8 @@ def chaos_smoke(
             log(message)
 
     points = [GridPoint(w, p) for w in workloads for p in policies]
-
-    uninstall()
-    reference = ParallelRunner(scale=scale, jobs=1)
-    reference.prefetch(points)
-    expected = {
-        (p.workload, p.policy): reference.run(p.workload, p.policy)
-        for p in points
-    }
-    say(f"reference: {reference.simulations} clean serial simulations")
+    matches = serial_reference(
+        [(p.workload, p.policy) for p in points], scale, say)
 
     own_dir = cache_dir is None
     cache_dir = Path(cache_dir) if cache_dir is not None else Path(
@@ -631,12 +690,7 @@ def chaos_smoke(
         ok = report.ok
         for point in points:
             got = warm.run(point.workload, point.policy)
-            want = expected[(point.workload, point.policy)]
-            if (got.cycles, got.committed, got.loads_gated) != (
-                    want.cycles, want.committed, want.loads_gated):
-                say(f"MISMATCH {point.workload}/{point.policy}: "
-                    f"{got.cycles} vs {want.cycles} cycles")
-                ok = False
+            ok &= matches(point.workload, point.policy, got, "recovered")
         if warm_cache.stats.corrupt or warm_cache.stats.quarantined:
             say(f"quarantined {warm_cache.stats.quarantined} corrupt "
                 f"cache entr(ies) during warm re-read")

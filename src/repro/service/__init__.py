@@ -20,7 +20,7 @@ _EXPORTS = {
     "AdmissionQueue": "queue",
     "QueueFull": "queue",
     "Scheduler": "scheduler",
-    "WorkerPool": "scheduler",
+    "WorkerPool": ".harness.resilience",  # the pool lives with the supervisor
     "ServiceConfig": "daemon",
     "ServiceThread": "daemon",
     "SimulationService": "daemon",

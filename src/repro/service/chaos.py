@@ -22,7 +22,7 @@ from typing import Callable
 
 from ..faults import FaultPlan, FaultSpec, uninstall
 from ..harness.cache import ResultCache
-from ..harness.parallel import ParallelRunner
+from ..harness.resilience import serial_reference
 from .client import ServiceClient
 from .daemon import ServiceConfig, ServiceThread
 from .jobs import RunKeyer, RunRequest
@@ -65,13 +65,7 @@ def service_chaos_smoke(
 
     pairs = [(w, p) for w in workloads for p in policies]
 
-    uninstall()
-    reference = ParallelRunner(scale=scale, jobs=1)
-    expected = {
-        (w, p): ResultCache.serialize(reference.run(w, p).slim())
-        for w, p in pairs
-    }
-    say(f"reference: {reference.simulations} clean serial simulations")
+    matches = serial_reference(pairs, scale, say)
 
     own_dir = cache_dir is None
     cache_dir = Path(cache_dir) if cache_dir is not None else Path(
@@ -93,14 +87,8 @@ def service_chaos_smoke(
             say(f"service resolved {len(results)} job(s) under chaos; "
                 f"faults fired: {plan.fired()}")
             for job, record in results:
-                got = ResultCache.serialize(record)
-                want = expected[(job["request"]["workload"],
-                                 job["request"]["policy"])]
-                if got != want:
-                    say(f"MISMATCH {job['request']['workload']}/"
-                        f"{job['request']['policy']}: service record "
-                        f"differs from clean serial run")
-                    ok = False
+                ok &= matches(job["request"]["workload"],
+                              job["request"]["policy"], record, "service")
             metrics = client.metrics()
             coalesced = metrics.get(
                 "repro_service_jobs_coalesced_total", 0.0)

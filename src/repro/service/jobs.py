@@ -234,8 +234,6 @@ class Flight:
     seq: int = dataclasses.field(default_factory=lambda: next(_flight_seq))
     jobs: list["Job"] = dataclasses.field(default_factory=list)
     attempts: int = 0
-    abandoned: bool = False   # set when the worker pool dies under it
-    generation: int = -1      # pool generation of the in-flight attempt
 
     def worker_args(self) -> tuple:
         """Picklable args for :func:`repro.harness.resilience.simulate_point`."""

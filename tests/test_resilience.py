@@ -366,6 +366,40 @@ def test_supervisor_captures_exception_with_traceback():
     assert summary["counts"] == {"failed": 1}
 
 
+def test_pool_broken_at_submit_is_a_pool_death(monkeypatch):
+    """A pool that broke between attempts fails ``submit`` itself: that is
+    a pool death (rebuild, resubmit uncharged), not an error escaping the
+    grid."""
+    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.harness import resilience
+
+    submits = []
+
+    class BreaksOnSecondSubmit(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submits.append(fn)
+            if len(submits) == 2:
+                raise BrokenProcessPool("a worker died since the last wait")
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(resilience, "process_pool",
+                        lambda workers: BreaksOnSecondSubmit(workers))
+    items = [WorkItem(key=f"k{i}", args=(i,), workload="w", policy=str(i))
+             for i in range(3)]
+    results = []
+    report = execute_supervised(
+        items, lambda args: args[0] * 10, jobs=2,
+        policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+        on_success=lambda item, record: results.append(record),
+    )
+    assert sorted(results) == [0, 10, 20]
+    assert len(report.outcomes) == 3
+    assert {o.status for o in report.outcomes} <= {"ok", "retried"}
+    assert report.pool_rebuilds >= 1
+
+
 def test_worker_crashes_recover_and_match_serial(tmp_path, monkeypatch):
     # Pin the single-point dispatch path: this test counts one recovered
     # outcome per injected crash, which lockstep batching coalesces

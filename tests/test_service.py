@@ -15,7 +15,9 @@ import urllib.request
 
 import pytest
 
+from repro.faults import FaultPlan, FaultSpec, uninstall
 from repro.harness.cache import ResultCache
+from repro.harness.resilience import RetryPolicy
 from repro.harness.runner import ExperimentRunner
 from repro.service.client import (
     ServiceClient,
@@ -422,6 +424,58 @@ def test_service_chaos_smoke_bit_identical(tmp_path):
     )
     assert ok, "\n".join(messages)
     assert any("PASS" in m for m in messages)
+
+
+FAULT_GRID = [("gather", "none"), ("gather", "levioso"),
+              ("pchase", "none"), ("pchase", "levioso")]
+
+
+@pytest.fixture(scope="module")
+def fault_grid_reference():
+    serial = ExperimentRunner(scale="test")
+    return {(w, p): ResultCache.serialize(serial.run(w, p))
+            for w, p in FAULT_GRID}
+
+
+@pytest.mark.parametrize(
+    "fault, timeout, max_pool_rebuilds, degraded",
+    [
+        (FaultSpec("worker", "hang", hang_seconds=6.0), 2.0, None, 0),
+        (FaultSpec("worker", "kill"), None, None, 0),
+        (FaultSpec("worker", "kill"), None, 0, 1),
+    ],
+    ids=["hang", "kill", "kill-degrades"],
+)
+def test_service_supervision_recovers_bit_identical(
+        tmp_path, monkeypatch, fault_grid_reference,
+        fault, timeout, max_pool_rebuilds, degraded):
+    """A hung worker is abandoned, a killed one rebuilds the pool, and a
+    death past the rebuild budget degrades to in-process execution; every
+    job still completes with the clean serial record."""
+    if max_pool_rebuilds is not None:
+        monkeypatch.setattr(
+            ServiceConfig, "retry_policy",
+            lambda self: RetryPolicy(max_attempts=self.retries + 1,
+                                     timeout=self.timeout,
+                                     max_pool_rebuilds=max_pool_rebuilds))
+    plan = FaultPlan([fault], state_dir=tmp_path).install()
+    try:
+        with ServiceThread(ServiceConfig(port=0, jobs=2,
+                                         timeout=timeout)) as server:
+            client = ServiceClient(server.base_url)
+            results = client.run_grid(
+                [{"workload": w, "policy": p} for w, p in FAULT_GRID],
+                timeout=120.0)
+            metrics = client.metrics()
+    finally:
+        uninstall()
+    assert plan.fired() == 1
+    for job, record in results:
+        want = fault_grid_reference[job["request"]["workload"],
+                                    job["request"]["policy"]]
+        assert ResultCache.serialize(record) == want, job["request"]
+    assert metrics["repro_service_worker_restarts_total"] >= 1
+    assert metrics["repro_service_degraded"] == degraded
 
 
 # ------------------------------------------------------- concurrent clients
