@@ -19,21 +19,13 @@ Routing: content keys are placed on a consistent-hash ring
 (:mod:`repro.cluster.ring`) over routable nodes, so a key lands on the
 worker whose persistent :class:`ResultCache` most likely already holds
 it.  One *cluster flight* exists per unresolved key no matter how many
-clients ask (cluster-wide coalescing); each flight runs as one asyncio
-task that forwards the request, polls the worker, and owns failover.
-
-Failure model, reusing the batch harness's charged/uncharged taxonomy:
-
-* a worker answering 4xx/5xx for the *job itself* is a **charged**
-  failure — the worker already burned its own retry budget;
-* a node dying under a flight (connection failure, heartbeat timeout,
-  a poll meeting a new incarnation) is **uncharged** — the flight is
-  resubmitted to the next surviving shard, bounded by
-  :data:`MAX_FAILOVERS` only as a runaway guard;
-* zero routable nodes degrades the coordinator to a serial in-process
-  executor, so the cluster keeps answering (slowly) through a full
-  fleet outage — the same ladder the single-node pool walks when it
-  degrades to serial.
+clients ask (cluster-wide coalescing).  Each flight is one asyncio task
+running :func:`~repro.harness.resilience.supervise`, the one retry loop,
+with the coordinator as its attempt source (DESIGN.md §13): a job the
+worker reports failed is **charged** and final, a node that lets the
+flight down loses the attempt (**uncharged**, retried at once up to
+:data:`MAX_FAILOVERS` reroutes), and with no routable node the flight
+runs on a degraded in-process pool — a fleet outage is slow, not down.
 
 Static nodes (``--nodes`` / ``$REPRO_CLUSTER_NODES``) never heartbeat;
 the monitor probes their ``/healthz`` every sweep whatever their state,
@@ -48,7 +40,6 @@ bit-identity to a clean serial run survives any failure schedule.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures as cf
 import dataclasses
 import json
 import os
@@ -56,8 +47,16 @@ import time
 import traceback
 
 from ..harness.cache import ResultCache
-from ..harness.resilience import simulate_point
-from ..harness.runner import RunRecord
+from ..harness.resilience import (
+    FAILED,
+    LOST,
+    OK,
+    RetryPolicy,
+    WorkerPool,
+    WorkItem,
+    simulate_point,
+    supervise,
+)
 from ..service.frontend import (
     Frontend,
     FrontendThread,
@@ -65,7 +64,7 @@ from ..service.frontend import (
     env_seconds,
 )
 from ..service.httpd import HttpError, json_bytes
-from ..service.jobs import DONE, FAILED, RUNNING, Flight
+from ..service.jobs import RUNNING, Flight
 from ..service.queue import QueueFull
 from .federation import render_federated
 from .membership import ALIVE, DEAD, SUSPECT, Membership, Node
@@ -74,7 +73,7 @@ from .transport import request, request_json
 
 #: Uncharged reroutes per flight before it fails (runaway guard).
 MAX_FAILOVERS = 16
-#: 429-from-worker waits before rerouting a flight elsewhere.
+#: 429-from-worker waits before an attempt is given up as lost.
 SUBMIT_RETRIES = 20
 #: Worker job-status poll cadence, seconds.
 POLL_INTERVAL = 0.05
@@ -105,12 +104,15 @@ class CoordinatorConfig:
 
 
 class _NodeFailure(Exception):
-    """A flight's current node let it down; decide failover upstream."""
+    """A flight's current node let it down: the attempt is lost."""
 
     def __init__(self, reason: str, declare_dead: bool = False):
         super().__init__(reason)
-        self.reason = reason
         self.declare_dead = declare_dead
+
+
+class _JobFailed(Exception):
+    """A charged failure; its text is the job's error, verbatim."""
 
 
 @dataclasses.dataclass
@@ -147,7 +149,8 @@ class ClusterCoordinator(Frontend):
         self.ring = HashRing()
         self._monitor_task: asyncio.Task | None = None
         self._flight_tasks: set[asyncio.Task] = set()
-        self._local_pool: cf.ThreadPoolExecutor | None = None
+        # A spent rebuild budget: degraded from the start, one thread.
+        self.local = WorkerPool(0, max_rebuilds=-1)
 
         m = self.metrics
         self.m_failovers = m.counter(
@@ -222,8 +225,7 @@ class ClusterCoordinator(Frontend):
                 await self._monitor_task
             except asyncio.CancelledError:
                 pass
-        if self._local_pool is not None:
-            self._local_pool.shutdown(wait=False)
+        self.local.shutdown(wait=False)
 
     # ----------------------------------------------------------- membership
     def _admit_node(self, node_id: str, url: str, static: bool = False
@@ -295,38 +297,56 @@ class ClusterCoordinator(Frontend):
 
     # -------------------------------------------------------------- flights
     async def _run_flight(self, flight: ClusterFlight) -> None:
-        record: RunRecord | None = None
-        error = ""
+        item = WorkItem(flight.key, flight)
+        record, error = None, ""
         try:
-            while True:
-                node_id = self.ring.node_for(flight.key)
-                node = self.membership.get(node_id) if node_id else None
-                if node is None:
-                    record, error = await self._run_local(flight)
-                    break
-                flight.node_id = node.node_id
-                flight.node_lost = asyncio.Event()
-                try:
-                    record, error = await self._run_on_node(flight, node)
-                    break
-                except _NodeFailure as exc:
-                    if exc.declare_dead:
-                        self._node_dead(node.node_id, exc.reason)
-                    flight.node_id = None
-                    flight.remote_id = None
-                    flight.failovers += 1
-                    self.m_failovers.inc(len(flight.jobs))
-                    if flight.failovers > MAX_FAILOVERS:
-                        error = (f"gave up after {flight.failovers} "
-                                 f"reroutes; last: {exc.reason}")
-                        break
+            # One charged attempt: a failed job spent the worker's retries.
+            record = await supervise(self, RetryPolicy(max_attempts=1),
+                                     item, simulate_point)
         except asyncio.CancelledError:
-            error = error or "cancelled at shutdown"
+            error = "cancelled at shutdown"
+        except _JobFailed as exc:
+            error = str(exc)
         except Exception:
             error = traceback.format_exc()
+        flight.attempts = item.attempts
         self.resolve(flight, record, error)
         if self.ring:
             self.m_degraded.set(0)
+
+    async def attempt(self, fn, flight: ClusterFlight,
+                      timeout: float | None = None) -> tuple[str, object]:
+        """:meth:`WorkerPool.attempt` on the fleet, its args the flight.
+
+        Runs the flight on the node its key resolves to now, or on
+        :attr:`local` if none is routable.  A node that lets the flight
+        down loses the attempt; past :data:`MAX_FAILOVERS` reroutes, fails it.
+        """
+        for job in flight.jobs:
+            job.state = RUNNING
+            job.started = job.started or time.time()
+        node_id = self.ring.node_for(flight.key)
+        node = self.membership.get(node_id) if node_id else None
+        if node is None:
+            self.m_degraded.set(1)
+            self.m_local.inc()
+            return await self.local.attempt(fn, flight.worker_args(), timeout)
+        flight.node_id = node.node_id
+        flight.node_lost = asyncio.Event()
+        try:
+            return await self._run_on_node(flight, node)
+        except _NodeFailure as exc:
+            if exc.declare_dead:
+                self._node_dead(node.node_id, str(exc))
+            flight.node_id = None
+            flight.remote_id = None
+            flight.failovers += 1
+            self.m_failovers.inc(len(flight.jobs))
+            if flight.failovers > MAX_FAILOVERS:
+                return FAILED, _JobFailed(
+                    f"gave up after {flight.failovers} reroutes; "
+                    f"last: {exc}")
+            return LOST, None
 
     async def _wait_node_lost(self, flight: ClusterFlight,
                               delay: float) -> None:
@@ -338,20 +358,18 @@ class ClusterCoordinator(Frontend):
         raise _NodeFailure("assigned node declared dead", declare_dead=False)
 
     async def _run_on_node(self, flight: ClusterFlight, node: Node
-                           ) -> tuple[RunRecord | None, str]:
+                           ) -> tuple[str, object]:
         """Forward one flight to ``node`` and poll it to resolution.
 
-        Raises :class:`_NodeFailure` for anything that warrants a
-        reroute; returns ``(record, "")`` or ``(None, error)`` for a
-        charged terminal failure.
+        Raises :class:`_NodeFailure` when the node let the flight down;
+        returns ``(OK, record)``, or ``(FAILED, _JobFailed)`` when the
+        worker answered that the job failed or rejected the request.
         """
         base = node.url
         generation = node.generation
         payload = {"runs": [flight.request.describe()]}
         waits = 0
         while True:
-            if flight.node_lost.is_set():
-                raise _NodeFailure("assigned node declared dead")
             try:
                 status, headers, data = await request_json(
                     "POST", base + "/v1/runs", payload, timeout=REQUEST_TIMEOUT)
@@ -362,7 +380,8 @@ class ClusterCoordinator(Frontend):
             if status == 429:
                 waits += 1
                 if waits > SUBMIT_RETRIES:
-                    # Saturated but alive: reroute without declaring dead.
+                    # Saturated but alive: lose the attempt, node kept
+                    # on the ring (so the key resolves to it again).
                     raise _NodeFailure(
                         f"{node.node_id} kept answering 429")
                 retry_after = float(headers.get("retry-after", "1") or "1")
@@ -373,14 +392,11 @@ class ClusterCoordinator(Frontend):
                 self._node_left(node.node_id)
                 raise _NodeFailure(f"{node.node_id} is draining")
             if status >= 400 or not data or not data.get("jobs"):
-                return None, (f"{node.node_id} rejected the request: "
-                              f"{(data or {}).get('error', status)}")
+                return FAILED, _JobFailed(
+                    f"{node.node_id} rejected the request: "
+                    f"{(data or {}).get('error', status)}")
             flight.remote_id = data["jobs"][0]["id"]
             self.m_forwards.inc(node=node.node_id)
-            for job in flight.jobs:
-                if job.state not in (DONE, FAILED):
-                    job.state = RUNNING
-                    job.started = job.started or time.time()
             break
 
         while True:
@@ -406,36 +422,11 @@ class ClusterCoordinator(Frontend):
                     f"{node.node_id} answered {status} to a status poll")
             state = job.get("state")
             if state == "done":
-                return ResultCache.deserialize(job["result"]), ""
+                return OK, ResultCache.deserialize(job["result"])
             if state == "failed":
                 # The worker burned its own retry budget: charged.
-                return None, (job.get("error")
-                              or f"job failed on {node.node_id}")
-
-    async def _run_local(self, flight: ClusterFlight
-                         ) -> tuple[RunRecord | None, str]:
-        """Degraded mode: the fleet is empty, simulate in-process.
-
-        A single-thread executor keeps local execution strictly serial —
-        the coordinator is a router, not a compute node; this path
-        exists so a full fleet outage degrades to "slow" instead of
-        "down"."""
-        self.m_degraded.set(1)
-        self.m_local.inc()
-        if self._local_pool is None:
-            self._local_pool = cf.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-coord-local")
-        for job in flight.jobs:
-            if job.state not in (DONE, FAILED):
-                job.state = RUNNING
-        loop = asyncio.get_running_loop()
-        try:
-            record = await loop.run_in_executor(
-                self._local_pool, simulate_point,
-                (flight.request.scale, flight.request.grid_point(), None))
-            return record, ""
-        except Exception:
-            return None, traceback.format_exc()
+                return FAILED, _JobFailed(
+                    job.get("error") or f"job failed on {node.node_id}")
 
     # ------------------------------------------------------------ endpoints
     def extra_route(self, method: str, path: str, body: bytes):

@@ -258,16 +258,18 @@ def maybe_fault(site: str, key: str) -> FaultSpec | None:
 def default_chaos_plan(seed: int, state_dir: str | Path | None = None) -> FaultPlan:
     """The plan the CI chaos job and ``repro chaos`` use.
 
-    Exercises every recovery path the acceptance criteria name: three
-    worker crashes, one worker hang (short, so the smoke stays fast), one
-    killed worker process, one corrupted cache entry, and one transient
-    cache-read error.
+    Exercises every recovery path the acceptance criteria name: one
+    killed worker process, three worker crashes, one worker hang (short,
+    so the smoke stays fast), one corrupted cache entry, and one
+    transient cache-read error.  The kill comes first so it fires on a
+    first attempt, before any point can reach the hang: a kill in the
+    hung worker's generation would turn the hang into a pool death.
     """
     return FaultPlan(
         [
+            FaultSpec("worker", "kill", times=1),
             FaultSpec("worker", "exception", times=3),
             FaultSpec("worker", "hang", times=1, hang_seconds=8.0),
-            FaultSpec("worker", "kill", times=1),
             FaultSpec("cache.put", "corrupt", times=1),
             FaultSpec("cache.get", "io_error", times=1),
         ],

@@ -14,8 +14,8 @@ service's scheduler.  Both run through this module:
 * :func:`execute_supervised` — the batch entry point: runs a grid on that
   loop with ``jobs`` slots, capturing each point's fate (with traceback
   text) into a structured :class:`RunOutcome` instead of letting the
-  first failure abort the grid; the service's ``Scheduler`` calls the
-  same loop per flight;
+  first failure abort the grid; the service's ``Scheduler`` and the
+  cluster coordinator call the same loop per flight;
 * :class:`RunJournal` — an append-only manifest of per-point outcomes
   that survives ``SIGKILL`` mid-grid (each line is flushed and fsynced),
   giving ``--resume`` exact knowledge of what already finished;
@@ -299,9 +299,9 @@ class WorkerPool:
     in-process thread.  A pool of ``processes=0`` is in-process from the
     start and runs attempts inline in the caller's thread: its caller
     (the batch harness at ``jobs<=1``) has nothing else on its loop, and
-    an inline run costs no thread.  No wall-clock timeout is enforceable
-    in-process: there is no worker to abandon, so a hung point simply
-    runs long.
+    an inline run costs no thread.  ``max_rebuilds=-1`` starts degraded.
+    No wall-clock timeout is enforceable in-process: there is no worker
+    to abandon, so a hung point simply runs long.
     """
 
     def __init__(self, processes: int, max_rebuilds: int = 3,
@@ -312,8 +312,7 @@ class WorkerPool:
         self.generation = 0
         self.rebuilds = 0
         self._live: set = set()  # asyncio futures of running attempts
-        self._pool: cf.Executor | None = (
-            process_pool(processes) if processes > 0 else None)
+        self._pool = self._executor()
 
     @property
     def degraded(self) -> bool:
@@ -323,6 +322,13 @@ class WorkerPool:
     @property
     def in_process(self) -> bool:
         return self.processes <= 0 or self.degraded
+
+    def _executor(self) -> cf.Executor | None:
+        if self.degraded:
+            # One thread, not inline: attempts serialize while the caller's
+            # event loop stays free (health checks, status reads, flights).
+            return cf.ThreadPoolExecutor(max_workers=1)
+        return process_pool(self.processes) if self.processes > 0 else None
 
     async def attempt(self, fn: Callable[[tuple], object], args: tuple,
                       timeout: float | None = None) -> tuple[str, object]:
@@ -377,21 +383,19 @@ class WorkerPool:
     def declare_dead(self, generation: int) -> None:
         """Replace the pool if ``generation`` is still the live one.
 
-        Hung workers cannot be killed portably, so the old pool is left
-        to finish (or hang) on its own while its attempts resubmit.
+        The old workers are SIGKILLed: the interpreter's exit hook would
+        join a hung one, pinning the owner's exit until the hang ended.
         """
         if generation != self.generation or self.in_process:
             return
         self.generation += 1
         self.rebuilds += 1
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        if self.degraded:
-            # One thread, not inline: attempts serialize in-process while
-            # the caller's event loop stays free for whatever else it
-            # serves (the service's health checks and status reads).
-            self._pool = cf.ThreadPoolExecutor(max_workers=1)
-        else:
-            self._pool = process_pool(self.processes)
+        old, self._pool = self._pool, self._executor()
+        # Read the process table first: ``shutdown`` drops it.
+        workers = list((getattr(old, "_processes", None) or {}).values())
+        old.shutdown(wait=False, cancel_futures=True)
+        for process in workers:
+            process.kill()
         for future in self._live:
             future.cancel()
         if self.on_rebuild is not None:
@@ -687,7 +691,8 @@ def chaos_smoke(
             retry_policy=RetryPolicy(max_attempts=4),
         )
         warm.prefetch(points)
-        ok = report.ok
+        # Two rebuilds: the kill's, and the hung worker's abandonment.
+        ok = report.ok and report.pool_rebuilds >= 2
         for point in points:
             got = warm.run(point.workload, point.policy)
             ok &= matches(point.workload, point.policy, got, "recovered")

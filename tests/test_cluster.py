@@ -434,3 +434,123 @@ def test_cluster_chaos_drill_passes_at_the_ci_seed():
     messages: list[str] = []
     assert cluster_chaos_smoke(seed=20240808, log=messages.append), \
         "\n".join(messages)
+
+
+def _terminal(client: ServiceClient, job_ids: list[str],
+              timeout: float = 60.0) -> list[dict]:
+    """Poll until every job is terminal; failed jobs included."""
+    deadline = time.monotonic() + timeout
+    while True:
+        jobs = [client.status(job_id) for job_id in job_ids]
+        if all(j["state"] in ("done", "failed") for j in jobs):
+            return jobs
+        assert time.monotonic() < deadline, jobs
+        time.sleep(0.05)
+
+
+def test_cluster_worker_side_failure_is_charged_and_verbatim(tmp_path):
+    # A worker that answers "this job failed" already spent its own retry
+    # budget: the coordinator reports the failure once, with the worker's
+    # own error text, and neither reroutes it nor runs it locally.
+    from repro.cluster.coordinator import CoordinatorConfig, CoordinatorThread
+    from repro.faults import FaultPlan, FaultSpec, uninstall
+    from repro.service.daemon import ServiceConfig, ServiceThread
+
+    FaultPlan([FaultSpec("worker", "exception", times=10, persistent=True)],
+              state_dir=tmp_path).install()
+    coord = worker = None
+    try:
+        coord = CoordinatorThread(CoordinatorConfig(
+            port=0, nodes=(), heartbeat_interval=0.2,
+            node_timeout=5.0)).start()
+        worker = ServiceThread(ServiceConfig(
+            port=0, jobs=1, retries=1, register_url=coord.base_url,
+            node_id="tw1", heartbeat_interval=0.2)).start()
+        client = ServiceClient(coord.base_url)
+        deadline = time.monotonic() + 20.0
+        while client.healthz()["nodes"]["alive"] < 1:
+            assert time.monotonic() < deadline, client.healthz()
+            time.sleep(0.05)
+        [job] = _terminal(client, [client.submit_one("gather", "none")["id"]])
+        assert job["state"] == "failed"
+        assert "InjectedFault" in job["error"]
+        [remote] = ServiceClient(worker.base_url).jobs()["jobs"]
+        assert remote["state"] == "failed"
+        assert job["error"] == remote["error"]       # verbatim
+        assert job["attempts"] == 1
+        metrics = client.metrics()
+        assert metrics["repro_cluster_failovers_total"] == 0
+        assert metrics['repro_cluster_forwards_total{node="tw1"}'] == 1
+        assert metrics["repro_cluster_local_runs_total"] == 0
+    finally:
+        uninstall()
+        if worker is not None:
+            worker.stop()
+        if coord is not None:
+            assert coord.stop()
+
+
+def test_cluster_runaway_guard_fails_a_flight_after_max_reroutes():
+    # A node that accepts every submission and then forgets it (404 on
+    # every poll) stays routable, so each reroute lands on it again; the
+    # runaway guard must end the flight after MAX_FAILOVERS + 1 reroutes,
+    # counting every job of the flight as failed over each time.
+    import http.server
+    import json
+    import threading
+
+    from repro.cluster.coordinator import (
+        MAX_FAILOVERS,
+        CoordinatorConfig,
+        CoordinatorThread,
+    )
+
+    class Amnesiac(http.server.BaseHTTPRequestHandler):
+        def _reply(self, status: int, payload: dict) -> None:
+            body = json.dumps(payload).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self._reply(202, {"jobs": [{"id": "forgotten",
+                                        "state": "queued"}]})
+
+        def do_GET(self):
+            self._reply(404, {"error": "unknown job"})
+
+        def log_message(self, *args):
+            pass
+
+    stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Amnesiac)
+    threading.Thread(target=stub.serve_forever, daemon=True).start()
+    coord = CoordinatorThread(CoordinatorConfig(
+        port=0, nodes=(), heartbeat_interval=0.2,
+        node_timeout=30.0)).start()
+    try:
+        client = ServiceClient(coord.base_url)
+        client._json("POST", "/v1/nodes", {
+            "id": "amnesiac",
+            "url": f"http://127.0.0.1:{stub.server_address[1]}"})
+        run = {"workload": "gather", "policy": "none"}
+        jobs = client.submit([run, run])           # one flight, two jobs
+        finals = _terminal(client, [j["id"] for j in jobs])
+        reroutes = MAX_FAILOVERS + 1
+        assert reroutes == 17
+        for job in finals:
+            assert job["state"] == "failed"
+            assert job["error"].startswith(
+                f"gave up after {reroutes} reroutes; last: amnesiac lost job")
+        metrics = client.metrics()
+        assert metrics["repro_cluster_failovers_total"] == reroutes * 2
+        assert metrics['repro_cluster_forwards_total{node="amnesiac"}'] \
+            == reroutes
+        assert metrics["repro_cluster_local_runs_total"] == 0
+        assert client.healthz()["nodes"]["dead"] == 0
+    finally:
+        assert coord.stop()
+        stub.shutdown()
+        stub.server_close()

@@ -21,6 +21,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -475,6 +476,43 @@ def test_worker_hang_times_out_and_recovers(tmp_path):
     uninstall()
     _assert_matches_reference(runner, reference)
 
+
+
+_HANG_DRIVER = """
+import sys
+from repro.faults import FaultPlan, FaultSpec
+from repro.harness import GridPoint, ParallelRunner, RetryPolicy
+
+FaultPlan([FaultSpec("worker", "hang", hang_seconds=60.0)],
+          state_dir=sys.argv[1]).install()
+runner = ParallelRunner(
+    scale="test", jobs=2,
+    retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01, timeout=1.5),
+)
+runner.prefetch([GridPoint("gather", "none"), GridPoint("gather", "levioso")])
+assert runner.report.ok and runner.report.pool_rebuilds >= 1, runner.report
+print("grid done")
+"""
+
+
+def test_abandoned_hung_worker_does_not_pin_exit(tmp_path):
+    # A worker hung far past its deadline is abandoned mid-grid; the
+    # process must then exit as soon as the grid is done, not when the
+    # hang would have ended (the interpreter's exit hook joins live pool
+    # workers).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop(FAULT_ENV, None)
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", _HANG_DRIVER, str(tmp_path)],
+        env=env, cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True, timeout=40,
+    )
+    elapsed = time.monotonic() - started
+    assert proc.returncode == 0, proc.stderr
+    assert "grid done" in proc.stdout
+    assert elapsed < 20.0, f"exit pinned for {elapsed:.1f}s by the hung worker"
 
 def test_corrupt_cache_write_quarantined_on_reread(tmp_path):
     reference = _clean_reference()
