@@ -26,13 +26,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..analysis.scanner import scan_program
-from ..asm import assemble
 from ..errors import HarnessError
 from ..harness.parallel import GridPoint, ParallelRunner
+from ..workloads.build_cache import BUILD_CACHE
 from .oracle import DEFAULT_FILLS, OracleVerdict, differential_verdict
-from .repair import RepairOutcome, repair_program
-from .synth import SynthSpec, synth_source, synthesize_item
+from .repair import RepairOutcome
+from .synth import SynthSpec, secret_fill, synth_source, synthesize_item
 
 #: Baseline + the cheap fence scheme + the paper's scheme.  The baseline
 #: is mandatory (it is the oracle's ground truth and the overhead
@@ -148,14 +147,21 @@ def campaign_grid(config: CampaignConfig) -> list[GridPoint]:
 def run_campaign(config: CampaignConfig, runner: ParallelRunner) -> dict:
     """Run one campaign end-to-end; returns the deterministic report."""
     items = [synthesize_item(config.seed, i) for i in range(config.count)]
+    # Every program is built, scanned and repaired once, through the
+    # build cache the runner's workloads draw from too.
+    builds = {
+        spec.name: (
+            synth_source(spec, config.fills[0]),
+            spec.name,
+            secret_fill(spec, config.fills[0]),
+        )
+        for spec in items
+    }
 
     # Static phase (in-driver; the scanner is fill-independent because
     # taint is seeded from .secret *ranges*, never from secret values).
     reports = {
-        spec.name: scan_program(
-            assemble(synth_source(spec, config.fills[0]), name=spec.name)
-        )
-        for spec in items
+        spec.name: BUILD_CACHE.scan(*builds[spec.name]) for spec in items
     }
     flagged = {name: not report.clean for name, report in reports.items()}
 
@@ -191,10 +197,8 @@ def run_campaign(config: CampaignConfig, runner: ParallelRunner) -> dict:
             if flagged[spec.name] or oracle_leaky[spec.name]
         ]
         for spec in targets:
-            repair_outcomes[spec.name] = repair_program(
-                assemble(
-                    synth_source(spec, config.fills[0]), name=spec.name
-                )
+            repair_outcomes[spec.name] = BUILD_CACHE.repair(
+                *builds[spec.name]
             )
         runner.prefetch(
             GridPoint(spec.workload_name(fill, repaired=True), policy,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.scanner import scan_program
+from ..analysis.scanner import ScanReport, scan_program
 from ..asm.program import Program
 from ..compiler.pass_manager import insert_fences, repair_sites
 from ..errors import AnalysisError
@@ -70,13 +70,15 @@ class RepairOutcome:
 
 
 def _repair_with(
-    program: Program, strategy: str, max_iterations: int
+    program: Program, strategy: str, max_iterations: int,
+    report: ScanReport | None = None,
 ) -> RepairOutcome:
     current = program
     steps: list[dict] = []
     fences = 0
     for iteration in range(max_iterations):
-        report = scan_program(current)
+        if report is None:
+            report = scan_program(current)
         if report.clean:
             return RepairOutcome(
                 program=current,
@@ -100,6 +102,7 @@ def _repair_with(
         )
         current = insert_fences(current, [site], name=program.name)
         fences += 1
+        report = None
     report = scan_program(current)
     return RepairOutcome(
         program=current,
@@ -168,10 +171,11 @@ def _simulated_cycles(program: Program) -> int:
 
 
 def _run_strategy(
-    program: Program, strategy: str, max_iterations: int
+    program: Program, strategy: str, max_iterations: int,
+    report: ScanReport | None = None,
 ) -> RepairOutcome:
     if strategy in ("load", "branch"):
-        return _repair_with(program, strategy, max_iterations)
+        return _repair_with(program, strategy, max_iterations, report)
     if strategy == "slh":
         return _repair_with_mitigation(program, strategy, "slh-lifted")
     if strategy == "selective":
@@ -186,21 +190,26 @@ def repair_program(
     program: Program,
     strategy: str = "load",
     max_iterations: int = MAX_ITERATIONS,
+    report: ScanReport | None = None,
 ) -> RepairOutcome:
     """Drive ``program`` to scanner-clean.
 
     Strategies: ``load`` fences the transmitter, ``branch`` the guard's
     fallthrough, ``selective`` batch-fences all transmitters per round,
     ``slh`` applies lifted speculative load hardening, ``cheapest``
-    all-then-pick (see module docstring).
+    all-then-pick (see module docstring).  ``report`` is the scan of
+    ``program`` when the caller already has it.
     """
     if strategy != "cheapest":
-        return _run_strategy(program, strategy, max_iterations)
-    if scan_program(program).clean:
+        return _run_strategy(program, strategy, max_iterations, report)
+    if report is None:
+        report = scan_program(program)
+    if report.clean:
         # Already clean: every strategy is the identity; report the default.
-        return _repair_with(program, "load", max_iterations)
+        return _repair_with(program, "load", max_iterations, report)
     candidates = [
-        _run_strategy(program, name, max_iterations) for name in STRATEGIES
+        _run_strategy(program, name, max_iterations, report)
+        for name in STRATEGIES
     ]
     clean = [c for c in candidates if c.clean]
     pool = clean or candidates

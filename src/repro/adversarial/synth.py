@@ -41,6 +41,7 @@ import re
 from dataclasses import dataclass
 
 from ..attacks.channel import PROBE_SLOTS, PROBE_STRIDE
+from ..workloads.build_cache import BUILD_CACHE, SecretFill
 from ..workloads.spec import Workload
 
 #: Registers the synthesizer may allocate (ABI names; zero/ra/sp/gp/tp
@@ -350,12 +351,22 @@ value_ptrs:
 
 _EMITTERS = {"v1": _v1_source, "v1-ct": _v1_ct_source, "v2": _v2_source}
 
+#: Data label of the ``.dword`` each skeleton writes its fill into.
+_FILL_LABELS = {"v1": "secret", "v1-ct": "key", "v2": "key"}
+
 
 def synth_source(spec: SynthSpec, fill: int) -> str:
     """Assembly source of one corpus item with ``fill`` as the secret byte."""
     if not 1 <= fill <= 255:
         raise ValueError("fill byte must be in 1..255 (slot 0 is noise)")
     return _EMITTERS[spec.skeleton](spec, fill)
+
+
+def secret_fill(spec: SynthSpec, fill: int) -> SecretFill | None:
+    """Where :func:`synth_source` puts ``fill`` (None: the source ignores it)."""
+    if spec.mutation == "no-secret":
+        return None
+    return SecretFill(_FILL_LABELS[spec.skeleton], fill)
 
 
 # ------------------------------------------------------------ workload bridge
@@ -378,20 +389,17 @@ def parse_fuzz_name(name: str) -> tuple[int, int, int, bool]:
 def build_fuzz_workload(name: str) -> Workload:
     """Rebuild a synthesized workload from its self-describing name.
 
-    Repaired variants re-run the (deterministic) repair loop on the
-    synthesized program, so any worker reconstructs the exact repaired
-    binary without shipping sources between processes.
+    Repaired variants take the (deterministic) repair loop's output for
+    the synthesized program, so any worker reconstructs the exact repaired
+    binary without shipping sources between processes; the build cache
+    runs that loop once per item and process, for both fills.
     """
     seed, index, fill, repaired = parse_fuzz_name(name)
     spec = synthesize_item(seed, index)
     source = synth_source(spec, fill)
+    slot = secret_fill(spec, fill)
     if repaired:
-        from ..asm import assemble
-        from .repair import repair_program
-
-        program = assemble(source, name=name)
-        outcome = repair_program(program)
-        source = outcome.source
+        source = BUILD_CACHE.repair(source, name, slot).source
     return Workload(
         name=name,
         source=source,
@@ -401,4 +409,5 @@ def build_fuzz_workload(name: str) -> Workload:
             f"{' after repair' if repaired else ''}"
         ),
         category="adversarial",
+        secret_fill=slot,
     )

@@ -948,7 +948,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded fault-injection drill: inject worker crashes/hangs/"
         "kills + cache corruption, assert recovery is bit-identical",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="fault-plan seed: it picks the keys a spec with probability "
+        "< 1 fires on.  Every spec of the built-in batch, --service and "
+        "--cluster plans fires with probability 1, so for them the seed "
+        "changes nothing; which point gets which fault is decided by "
+        "timing",
+    )
     p.add_argument("--scale", default="test", choices=("test", "ref"))
     p.add_argument("--jobs", type=int, default=2, metavar="N")
     p.add_argument("--workloads", nargs="*", choices=WORKLOAD_NAMES)

@@ -250,7 +250,7 @@ class ClusterCoordinator(Frontend):
     def _node_dead(self, node_id: str, reason: str) -> None:
         """Declare a node dead and abandon its in-flight flights (their
         tasks observe the event and reroute, uncharged)."""
-        node = self.membership.mark_dead(node_id)
+        node = self.membership.mark_dead(node_id, reason)
         self.ring.remove(node_id)
         self._update_node_gauges()
         if node is None:

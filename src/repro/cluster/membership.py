@@ -48,6 +48,7 @@ class Node:
     last_heartbeat: float = 0.0
     heartbeats: int = 0
     load: dict[str, Any] = dataclasses.field(default_factory=dict)
+    death_reason: str | None = None  # why it was last declared dead
 
     def describe(self, now: float) -> dict:
         return {
@@ -60,6 +61,7 @@ class Node:
             "age": round(now - self.registered_at, 3),
             "silent_for": round(now - self.last_heartbeat, 3),
             "load": self.load,
+            "death_reason": self.death_reason,
         }
 
 
@@ -120,6 +122,7 @@ class Membership:
         if node.state in (DEAD, LEFT):
             node.generation += 1
             node.registered_at = now
+            node.death_reason = None
         node.url = url
         node.static = static or node.static
         node.state = ALIVE
@@ -150,7 +153,8 @@ class Membership:
             node.state = LEFT
         return node
 
-    def mark_dead(self, node_id: str) -> Node | None:
+    def mark_dead(self, node_id: str, reason: str | None = None
+                  ) -> Node | None:
         """Direct declaration (connection refused beats the sweep to it).
         Returns the node iff this call performed the ALIVE/SUSPECT→DEAD
         transition — the caller owes a failover exactly then."""
@@ -158,6 +162,7 @@ class Membership:
         if node is None or node.state in (DEAD, LEFT):
             return None
         node.state = DEAD
+        node.death_reason = reason
         return node
 
     def sweep(self) -> list[Node]:
@@ -171,6 +176,7 @@ class Membership:
             silent = now - node.last_heartbeat
             if silent >= self.node_timeout:
                 node.state = DEAD
+                node.death_reason = "heartbeat timeout"
                 died.append(node)
             elif silent >= self.suspect_after:
                 node.state = SUSPECT

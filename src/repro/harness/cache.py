@@ -23,6 +23,7 @@ consumes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -62,13 +63,15 @@ def _stable_hash(payload: object) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=64)
 def config_fingerprint(config: CoreConfig) -> str:
     """Fingerprint of a config's *field values* (nested dataclasses included).
 
     Equal configs — however and whenever constructed — produce equal
     fingerprints; this is the replacement for the old ``id(cfg)`` keying,
     which both missed equal configs and could collide after garbage
-    collection reused an address.
+    collection reused an address.  Memoized by value (configs are frozen
+    and hashable), so a fresh runner per point pays the hash once.
     """
     return _stable_hash(dataclasses.asdict(config))
 

@@ -7,7 +7,8 @@ construction — that is identical across the policy axis.  This module
 runs a *batch* of points sharing one program in a single worker process,
 interleaving their cores in fixed-size cycle slices:
 
-* setup amortizes: the program is assembled once and every core shares
+* setup amortizes: every core shares the same assembled program (from
+  the per-process build cache, :mod:`repro.workloads.build_cache`) and
   the same content-addressed :class:`~repro.uarch.decoded.DecodedProgram`
   (and its attached specialized ops) from the process-level caches;
 * scheduling stays deterministic: cores are advanced round-robin in
@@ -101,7 +102,6 @@ def simulate_batch(args: tuple) -> dict:
         maybe_fault("worker", key)
 
     workloads: dict[str, object] = {}
-    programs: dict[str, object] = {}
     entries = []
     members = []
     for key, point in zip(keys, points):
@@ -109,10 +109,9 @@ def simulate_batch(args: tuple) -> dict:
         if workload is None:
             workload = build_workload(point.workload, scale)
             workloads[point.workload] = workload
-            programs[point.workload] = workload.assemble()
         cfg = point.config or default_config
         core = OooCore(
-            programs[point.workload],
+            workload.assemble(),
             config=cfg,
             policy=make_policy(point.policy),
             use_compiler_info=point.use_compiler_info,

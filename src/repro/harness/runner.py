@@ -122,7 +122,6 @@ class ExperimentRunner:
         self._cache: dict[str, RunRecord] = store if store is not None else {}
         self._workloads: dict[str, Workload] = {}
         self._workload_fps: dict[str, str] = {}
-        self._config_fps: dict[int, tuple[CoreConfig, str]] = {}
 
     def workload(self, name: str) -> Workload:
         if name not in self._workloads:
@@ -151,15 +150,8 @@ class ExperimentRunner:
         if wfp is None:
             wfp = workload_fingerprint(self.workload(workload_name), self.scale)
             self._workload_fps[workload_name] = wfp
-        # Memoize config fingerprints by identity, guarded by an equality
-        # check so a recycled id() can never alias a different config.
-        memo = self._config_fps.get(id(cfg))
-        if memo is not None and memo[0] == cfg:
-            cfp = memo[1]
-        else:
-            cfp = config_fingerprint(cfg)
-            self._config_fps[id(cfg)] = (cfg, cfp)
-        return run_key(wfp, policy_name, cfp, use_compiler_info, observe=observe)
+        return run_key(wfp, policy_name, config_fingerprint(cfg),
+                       use_compiler_info, observe=observe)
 
     def run(
         self,

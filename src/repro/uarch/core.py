@@ -141,9 +141,12 @@ class OooCore:
         if specialize is None:
             specialize = specialize_enabled()
         self._specialize = specialize
+        # ``_execute`` holds the plain function (called with the core): a
+        # bound method stored on the core would be a reference cycle, and
+        # every finished core would then wait for a full garbage collection.
         if specialize:
             spec = specialized_image(self._decoded, self.config, self.policy)
-            self._execute = self._execute_alu_spec
+            self._execute = OooCore._execute_alu_spec
             # The base policy's defers_wakeup is a constant False with no
             # side effects; skip the per-load-completion virtual call
             # unless the policy actually overrides it (NDA does).
@@ -151,7 +154,7 @@ class OooCore:
                 None if spec.skip_defer_wakeup else self.policy.defers_wakeup
             )
         else:
-            self._execute = self._execute_alu
+            self._execute = OooCore._execute_alu
             self._defers_wakeup = self.policy.defers_wakeup
         # STT-style expiring taint roots are consulted only by policies
         # declaring uses_taint_roots; for the rest, root sets are provably
@@ -703,7 +706,8 @@ class OooCore:
                 pstats = self.policy.stats
                 pstats.gate_checks += 1
                 if self.policy.may_issue_branch(dyn, self):
-                    self._execute(dyn, cycle, self.config.branch_latency)
+                    self._execute(self, dyn, cycle,
+                                  self.config.branch_latency)
                     budget -= 1
                     alu_ports -= 1
                 else:
@@ -792,7 +796,7 @@ class OooCore:
                     continue
                 div_ports -= 1
             budget -= 1
-            execute(dyn, cycle, dec.latency)
+            execute(self, dyn, cycle, dec.latency)
 
         for entry in overflow:
             heapq.heappush(ready, entry)

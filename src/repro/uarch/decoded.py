@@ -172,9 +172,7 @@ def program_fingerprint(program: "Program") -> str:
 
 
 def _analysis_digest(program: "Program") -> str:
-    """Digest of a pre-attached analysis' reconvergence map (else '')."""
-    if program.analysis is None:
-        return ""
+    """Digest of the attached analysis' reconvergence map."""
     h = hashlib.sha256()
     for pc, reconv in sorted(program.analysis.reconv_pc.items()):
         h.update(f"{pc}:{reconv};".encode())
@@ -230,6 +228,9 @@ def decoded_image(program: "Program", config: "CoreConfig") -> DecodedProgram:
     """
     if os.environ.get("REPRO_DECODE_CACHE") == "0":
         return decode_program(program, config)
+    # Attach the analysis before keying on it: a fresh program would key
+    # on '' first and on the real digest from then on, decoding twice.
+    ensure_analysis(program)
     key = (
         program_fingerprint(program),
         _analysis_digest(program),

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..asm import assemble
 from ..asm.program import Program
+from .build_cache import BUILD_CACHE, SecretFill
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,14 @@ class Workload:
     # software-hardened variant of another; part of the cache fingerprint so
     # results from different pass generations are never conflated.
     mitigation: str | None = None
+    # Where the source holds its secret fill byte (synthesized fuzz items),
+    # so every fill of one item shares one build; not part of the cache
+    # fingerprint, which covers the source itself.
+    secret_fill: SecretFill | None = None
 
     def assemble(self) -> Program:
-        return assemble(self.source, name=self.name)
+        """This workload's program, from the per-process build cache."""
+        return BUILD_CACHE.program(self.source, self.name, self.secret_fill)
 
     def validate(self, regs: tuple[int, ...]) -> bool:
         if self.check_reg is None:

@@ -167,6 +167,24 @@ def test_membership_mark_dead_reports_transition_once():
     assert m.mark_dead("ghost") is None
 
 
+def test_membership_records_why_a_node_died():
+    clock = FakeClock()
+    m = Membership(heartbeat_interval=1.0, node_timeout=5.0, clock=clock)
+    m.register("w1", "http://w1")
+    m.register("w2", "http://w2")
+    assert m.get("w1").describe(clock.now)["death_reason"] is None
+    m.mark_dead("w1", "submit to w1 failed: refused")
+    m.mark_dead("w1", "a later, second declaration")   # not a transition
+    clock.now += 10.0
+    m.sweep()
+    assert m.get("w1").describe(clock.now)["death_reason"] \
+        == "submit to w1 failed: refused"
+    assert m.get("w2").describe(clock.now)["death_reason"] \
+        == "heartbeat timeout"
+    m.heartbeat("w2")                       # resurrection clears it
+    assert m.get("w2").describe(clock.now)["death_reason"] is None
+
+
 # -------------------------------------------------------------- federation
 def test_merge_samples_sums_by_sample_key():
     merged = merge_samples([
@@ -360,6 +378,32 @@ def test_cluster_heartbeat_silence_kills_node():
         assert 'repro_cluster_node_up{node="silent"} 0' \
             in client.metrics_text()
     finally:
+        assert coord.stop()
+
+
+def test_cluster_node_entries_say_why_a_node_died(expected):
+    # An unreachable node dies of a failed submit; a silent one of a
+    # heartbeat timeout.  Both reasons show in the node's /v1/nodes entry.
+    coord, workers, client = _start_fleet(1, heartbeat=0.1, node_timeout=0.5)
+    try:
+        client._json("POST", "/v1/nodes",
+                     {"id": "bogus", "url": "http://127.0.0.1:9"})
+        client.run_grid(GRID, timeout=120.0)
+        client._json("POST", "/v1/nodes",
+                     {"id": "silent", "url": "http://127.0.0.1:9"})
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            nodes = {n["id"]: n for n in client._json("GET", "/v1/nodes")["nodes"]}
+            if nodes["silent"]["state"] == "dead":
+                break
+            time.sleep(0.05)
+        assert nodes["bogus"]["state"] == "dead"
+        assert "submit to bogus failed" in nodes["bogus"]["death_reason"]
+        assert nodes["silent"]["death_reason"] == "heartbeat timeout"
+        assert nodes["tw1"]["death_reason"] is None
+    finally:
+        for w in workers:
+            w.stop()
         assert coord.stop()
 
 

@@ -1,5 +1,8 @@
 """Out-of-order core: basic architectural correctness."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.asm import assemble
@@ -219,3 +222,22 @@ def test_wrong_path_off_text_segment_recovers():
     functional = run_program(program)
     result = OooCore(program).run()
     assert result.regs == functional.regs
+
+
+@pytest.mark.parametrize("specialize", [True, False])
+def test_finished_core_is_freed_without_the_cycle_collector(specialize):
+    """A core holds no reference cycle: dropping the last reference frees
+    it (and its memory image and caches) at once, not at the next full
+    garbage collection."""
+    core = OooCore(assemble(SUM_LOOP), policy=make_policy("levioso"),
+                   specialize=specialize, record_observations=True)
+    core.run()
+    ref = weakref.ref(core)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del core
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

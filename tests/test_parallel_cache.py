@@ -43,6 +43,18 @@ def test_equal_configs_share_fingerprint():
     )
 
 
+def test_config_fingerprint_is_memoized_by_value():
+    config_fingerprint.cache_clear()
+    first = config_fingerprint(CoreConfig(rob_size=96, alu_latency=2))
+    again = config_fingerprint(CoreConfig(rob_size=96, alu_latency=2))
+    assert first == again
+    info = config_fingerprint.cache_info()
+    assert (info.hits, info.misses) == (1, 1)  # hashed once for both
+    changed = config_fingerprint(CoreConfig(rob_size=96, alu_latency=3))
+    assert changed != first
+    assert config_fingerprint.cache_info().misses == 2
+
+
 def test_run_key_depends_on_every_input():
     base = run_key("w", "levioso", "c", True)
     assert run_key("w", "levioso", "c", True) == base
