@@ -32,11 +32,11 @@ Subcommands::
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-levioso/runs``).
 
 Grid execution is supervised: ``--retries``/``--timeout`` bound each
-point's attempts and wall clock, ``--resume`` continues an interrupted
-invocation from its journal (requires ``--cache``), ``--keep-going``
-finishes the grid around permanently failed points and renders partial
-tables with explicit holes, and ``--fault-plan`` injects a seeded fault
-plan (JSON text or ``@file``) for chaos testing.
+point's attempts and wall clock, ``--keep-going`` finishes the grid
+around permanently failed points and renders partial tables with
+explicit holes, and ``--fault-plan`` injects a seeded fault plan (JSON
+text or ``@file``) for chaos testing.  An interrupted ``--cache`` run
+resumes by running it again: finished points are cache hits.
 
 Also usable as ``python -m repro ...``.
 """
@@ -536,8 +536,7 @@ def cmd_experiment(args) -> int:
     results, report = run_experiments(
         args.ids, scale=args.scale, jobs=args.jobs, cache=cache,
         retry_policy=_make_retry_policy(args),
-        keep_going=args.keep_going, resume=args.resume,
-        journal_path=args.journal, with_report=True,
+        keep_going=args.keep_going, with_report=True,
     )
     for result in results.values():
         print(result.text())
@@ -924,16 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="ID")
     p.add_argument("--scale", default="test", choices=("test", "ref"))
     add_parallel_flags(p)
-    p.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted invocation from its journal "
-        "(requires --cache); only unfinished points re-simulate",
-    )
-    p.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="journal manifest location (default: derived from the grid, "
-        "under the cache root)",
-    )
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(

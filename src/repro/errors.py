@@ -101,9 +101,9 @@ class HarnessError(ReproError):
     """The experiment harness failed operationally.
 
     Raised for supervisor-level problems — grid points that exhausted
-    their retry budget, a resume journal that cannot be used, a worker
-    pool that could not be kept alive — as opposed to errors *inside* a
-    simulation (those are :class:`SimulationError`).
+    their retry budget, a worker pool that could not be kept alive — as
+    opposed to errors *inside* a simulation (those are
+    :class:`SimulationError`).
     """
 
 

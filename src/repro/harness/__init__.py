@@ -19,7 +19,6 @@ from .report import (
 from .resilience import (
     ResilienceReport,
     RetryPolicy,
-    RunJournal,
     RunOutcome,
     chaos_smoke,
     execute_supervised,
@@ -36,7 +35,6 @@ __all__ = [
     "ResilienceReport",
     "ResultCache",
     "RetryPolicy",
-    "RunJournal",
     "RunOutcome",
     "RunRecord",
     "chaos_smoke",

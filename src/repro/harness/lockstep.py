@@ -21,8 +21,9 @@ interleaving their cores in fixed-size cycle slices:
   into its ``point`` attribute, so a timeout inside an 8-point batch
   names the guilty grid point.
 
-``REPRO_NO_LOCKSTEP=1`` disables batching everywhere (the planner and
-the service scheduler fall back to one point per worker task).
+Only the grid planner (``ParallelRunner.prefetch``) batches; the
+service runs every flight as one supervised point.  ``REPRO_NO_LOCKSTEP=1``
+turns the planner's batching off (one point per worker task).
 """
 
 from __future__ import annotations

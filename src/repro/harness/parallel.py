@@ -37,12 +37,9 @@ from .lockstep import LOCKSTEP_MAX, lockstep_enabled, simulate_work
 from .resilience import (
     ResilienceReport,
     RetryPolicy,
-    RunJournal,
     WorkItem,
     execute_supervised,
     failed_run_record,
-    journal_path_for,
-    simulate_point,
 )
 from .runner import ExperimentRunner, RunRecord
 
@@ -82,11 +79,6 @@ class GridPoint:
     observe: bool = False
 
 
-#: Backwards-compatible alias; the worker entrypoint now lives with the
-#: supervisor (:func:`repro.harness.resilience.simulate_point`).
-_simulate_point = simulate_point
-
-
 class ParallelRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` that can prefetch a grid in parallel.
 
@@ -100,8 +92,10 @@ class ParallelRunner(ExperimentRunner):
     exceptions are captured per point — with traceback text — into
     :class:`RunOutcome` records on :attr:`report` instead of aborting the
     grid, points are retried under ``retry_policy``, a dead or hung pool
-    is rebuilt (ultimately degrading to serial execution), and a
-    :class:`RunJournal` can record completions for ``--resume``.
+    is rebuilt (ultimately degrading to serial execution).  Every
+    completion lands in the persistent ``cache`` as it finishes, so an
+    interrupted grid resumes by rerunning it with the same cache: the
+    finished points are hits and only the rest simulate.
 
     With ``keep_going=True``, permanently failed points do not raise:
     ``run()`` returns a NaN-filled hole record for them so experiments
@@ -113,16 +107,12 @@ class ParallelRunner(ExperimentRunner):
                  store: dict[str, RunRecord] | None = None,
                  jobs: int | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 keep_going: bool = False,
-                 journal: RunJournal | None = None,
-                 resume: bool = False):
+                 keep_going: bool = False):
         super().__init__(scale=scale, config=config, verbose=verbose,
                          cache=cache, store=store)
         self.jobs = jobs if jobs is not None else default_jobs()
         self.retry_policy = retry_policy or RetryPolicy()
         self.keep_going = keep_going
-        self.journal = journal
-        self.resume = resume
         self.report = ResilienceReport()
         #: key -> (workload, policy) of points that exhausted their budget.
         self.failed_points: dict[str, tuple[str, str]] = {}
@@ -132,9 +122,6 @@ class ParallelRunner(ExperimentRunner):
 
         Points already in the in-memory store or the persistent cache are
         skipped; duplicates within ``points`` collapse to one simulation.
-        With a journal and ``resume=True``, points the manifest records
-        as complete are only re-verified against the cache — a key that
-        is journaled *and* cached is skipped without simulating.
 
         Unless ``keep_going`` is set, points that remain failed after
         supervision raise a summarizing :class:`HarnessError` at the end
@@ -142,10 +129,6 @@ class ParallelRunner(ExperimentRunner):
         """
         todo: list[tuple[str, GridPoint]] = []
         seen: set[str] = set()
-        resumed = 0
-        journaled_done = (self.journal.completed()
-                          if self.journal is not None and self.resume
-                          else set())
         for point in points:
             cfg = point.config or self.config
             key = self.run_key_for(point.workload, point.policy, cfg,
@@ -156,11 +139,7 @@ class ParallelRunner(ExperimentRunner):
                 record = self.cache.get(key)
                 if record is not None:
                     self._cache[key] = record
-                    if key in journaled_done:
-                        resumed += 1
                     continue
-            # A journaled-complete key whose record is gone (cache off or
-            # evicted) must re-simulate: resume never invents results.
             seen.add(key)
             todo.append((key, point))
         self.report = ResilienceReport()
@@ -170,24 +149,14 @@ class ParallelRunner(ExperimentRunner):
         items, batch_members = self._plan_work(todo)
 
         def on_success(item: WorkItem, record) -> None:
-            status = "ok" if item.attempts <= 1 else "retried"
-            members = batch_members.get(item.key)
-            if members is None:
-                members, records = [(item.key, None)], {item.key: record}
-            else:
-                records = record  # simulate_batch returns {key: record}
-            for key, member in members:
-                rec = records[key]
+            # simulate_batch returns {key: record} for every member.
+            records = (record if item.key in batch_members
+                       else {item.key: record})
+            for key, rec in records.items():
                 self.simulations += 1
                 self._cache[key] = rec
                 if self.cache is not None:
                     self.cache.put(key, rec)
-                if self.journal is not None:
-                    self.journal.record(
-                        key, status,
-                        workload=member.workload if member else item.workload,
-                        policy=member.policy if member else item.policy,
-                        attempts=item.attempts)
 
         self.report = execute_supervised(
             items, simulate_work, self.jobs, self.retry_policy, on_success,
@@ -198,15 +167,10 @@ class ParallelRunner(ExperimentRunner):
                 failed = [(outcome.key, outcome.workload, outcome.policy)]
             else:
                 # One member sank the whole batch: every member is unfetched,
-                # so all of them are reported (and journaled) as failed.
+                # so all of them are reported as failed.
                 failed = [(k, p.workload, p.policy) for k, p in members]
             for key, workload, policy in failed:
                 self.failed_points[key] = (workload, policy)
-                if self.journal is not None:
-                    self.journal.record(key, outcome.status,
-                                        workload=workload,
-                                        policy=policy,
-                                        attempts=outcome.attempts)
         if self.report.failed and not self.keep_going:
             names = ", ".join(
                 f"{o.workload}/{o.policy} ({o.status} after "
@@ -397,8 +361,6 @@ def run_experiments(
     verbose: bool = False,
     retry_policy: RetryPolicy | None = None,
     keep_going: bool = False,
-    resume: bool = False,
-    journal_path: str | None = None,
     with_report: bool = False,
 ):
     """Run experiments with shared, parallel-prefetched simulations.
@@ -408,12 +370,10 @@ def run_experiments(
     experiments share one result store, so points common to several
     figures simulate once.
 
-    ``resume`` requires a persistent ``cache`` — the journal can only say
-    *which* points finished; their records live in the cache.  The
-    journal path defaults to a grid-content-derived file under the cache
-    root, so re-invoking the same figure set finds its own manifest.
-    With ``keep_going``, experiments touching permanently failed points
-    render partial tables with explicit holes instead of raising.
+    With a persistent ``cache``, an interrupted invocation resumes by
+    running it again: the points that finished are cache hits.  With
+    ``keep_going``, experiments touching permanently failed points render
+    partial tables with explicit holes instead of raising.
     """
     import inspect
 
@@ -421,30 +381,10 @@ def run_experiments(
     from .resilience import failed_experiment_result, scrub_holes
 
     store: dict[str, RunRecord] = {}
-    planner = ParallelRunner(scale=scale, jobs=jobs, cache=cache,
-                             verbose=verbose, store=store)
-    grid = plan_experiment_grid(experiment_ids, planner)
-    journal = None
-    if journal_path is not None or resume:
-        if cache is None:
-            raise HarnessError(
-                "--resume needs the persistent cache (--cache): the journal "
-                "records which points finished, the cache holds their results"
-            )
-        if journal_path is None:
-            keys = [
-                planner.run_key_for(p.workload, p.policy,
-                                    p.config or planner.config,
-                                    p.use_compiler_info)
-                for p in grid
-            ]
-            journal_path = journal_path_for(cache.root, keys, scale)
-        journal = RunJournal(journal_path)
     runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache,
                             verbose=verbose, store=store,
-                            retry_policy=retry_policy, keep_going=keep_going,
-                            journal=journal, resume=resume)
-    runner.prefetch(grid)
+                            retry_policy=retry_policy, keep_going=keep_going)
+    runner.prefetch(plan_experiment_grid(experiment_ids, runner))
 
     results = {}
     for experiment_id in experiment_ids:

@@ -16,9 +16,6 @@ service's scheduler.  Both run through this module:
   text) into a structured :class:`RunOutcome` instead of letting the
   first failure abort the grid; the service's ``Scheduler`` and the
   cluster coordinator call the same loop per flight;
-* :class:`RunJournal` — an append-only manifest of per-point outcomes
-  that survives ``SIGKILL`` mid-grid (each line is flushed and fsynced),
-  giving ``--resume`` exact knowledge of what already finished;
 * :class:`ResilienceReport` — the aggregate surfaced through
   ``harness.report`` and the CLI;
 * :func:`chaos_smoke` — the seeded end-to-end check behind
@@ -36,7 +33,6 @@ from __future__ import annotations
 import concurrent.futures as cf
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import signal
@@ -52,7 +48,7 @@ from ..uarch.stats import CoreStats
 from .runner import RunRecord
 
 #: Terminal statuses a grid point can end in.
-OUTCOME_STATUSES = ("ok", "retried", "timed-out", "failed", "cache-hit")
+OUTCOME_STATUSES = ("ok", "retried", "timed-out", "failed")
 
 
 # ------------------------------------------------------------------ policy
@@ -138,8 +134,7 @@ class ResilienceReport:
                  + (f", {self.pool_rebuilds} pool rebuild(s)"
                     if self.pool_rebuilds else "")
                  + (", degraded to serial" if self.degraded_to_serial else "")]
-        noteworthy = [o for o in self.outcomes if o.status != "ok"
-                      and o.status != "cache-hit"]
+        noteworthy = [o for o in self.outcomes if o.status != "ok"]
         if noteworthy:
             rows = [
                 [o.workload, o.policy, o.status, o.attempts,
@@ -151,65 +146,6 @@ class ResilienceReport:
                 rows,
             ))
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------- journal
-class RunJournal:
-    """Append-only manifest of completed grid points.
-
-    One JSON object per line; every append is flushed and fsynced, so a
-    process killed mid-grid leaves a manifest that exactly matches the
-    work that finished (a torn final line is tolerated on read).
-    """
-
-    #: Statuses that count as "this point's result exists".
-    DONE = ("ok", "retried", "cache-hit")
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def record(self, key: str, status: str, **meta) -> None:
-        entry = {"key": key, "status": status, **meta}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as f:
-            f.write(json.dumps(entry) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-
-    def entries(self) -> list[dict]:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return []
-        entries = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn write from a kill mid-append
-            if isinstance(entry, dict) and "key" in entry:
-                entries.append(entry)
-        return entries
-
-    def completed(self) -> set[str]:
-        """Keys whose results were fully produced before an interruption."""
-        return {
-            e["key"] for e in self.entries() if e.get("status") in self.DONE
-        }
-
-    def clear(self) -> None:
-        self.path.unlink(missing_ok=True)
-
-
-def journal_path_for(cache_root: Path, keys: Iterable[str], scale: str) -> Path:
-    """Stable journal location for a given grid (same grid → same file)."""
-    digest = hashlib.sha256(
-        json.dumps({"scale": scale, "keys": sorted(keys)}).encode()
-    ).hexdigest()[:16]
-    return Path(cache_root) / f"journal-{digest}.jsonl"
 
 
 # ------------------------------------------------------------- work items

@@ -111,30 +111,6 @@ class AdmissionQueue:
             return flight
         return None
 
-    def pop_compatible(self, flight: Flight, max_more: int) -> list[Flight]:
-        """Pop up to ``max_more`` flights batchable with ``flight``.
-
-        Batchable means the same (workload, scale) — i.e. the same
-        program image — so the scheduler can run them in one lockstep
-        worker task (:mod:`repro.harness.lockstep`).  Selection is
-        best-first (priority, then FIFO), so batching never runs a
-        lower-priority flight before a higher-priority compatible one it
-        left behind.  Popped flights leave ``_queued``; their heap
-        entries become lazy-deletion garbage for :meth:`pop`.
-        """
-        if max_more <= 0:
-            return []
-        out: list[Flight] = []
-        for candidate in self.flights():
-            if len(out) >= max_more:
-                break
-            request = candidate.request
-            if (request.workload == flight.request.workload
-                    and request.scale == flight.request.scale):
-                self._queued.discard(candidate.key)
-                out.append(candidate)
-        return out
-
     def flights(self) -> list[Flight]:
         """Queued flights, best-first, one entry per flight."""
         seen: set[str] = set()

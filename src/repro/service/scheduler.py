@@ -21,9 +21,7 @@ import time
 import traceback
 from typing import Callable
 
-from ..harness.lockstep import LOCKSTEP_MAX, lockstep_enabled, simulate_batch
 from ..harness.resilience import (
-    OK,
     RetryPolicy,
     WorkerPool,
     WorkItem,
@@ -131,25 +129,9 @@ class Scheduler:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            # Lockstep vectorization: pull queued flights that share the
-            # popped flight's program image into one worker task.  The
-            # batch occupies the one slot just acquired (it is one worker
-            # process), so sibling slots keep draining other batches.
-            siblings = (
-                self.queue.pop_compatible(flight, LOCKSTEP_MAX - 1)
-                if lockstep_enabled() and not self.pool.in_process
-                else []
-            )
-            if siblings:
-                flights = [flight, *siblings]
-                for member in flights:
-                    self.inflight[member.key] = member
-                task = asyncio.get_running_loop().create_task(
-                    self._run_batch(flights))
-            else:
-                self.inflight[flight.key] = flight
-                task = asyncio.get_running_loop().create_task(
-                    self._run_flight(flight))
+            self.inflight[flight.key] = flight
+            task = asyncio.get_running_loop().create_task(
+                self._run_flight(flight))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
@@ -172,69 +154,6 @@ class Scheduler:
             self.inflight.pop(flight.key, None)
             self._slots.release()
             self._wakeup.set()
-
-    async def _run_batch(self, flights: "list[Flight]") -> None:
-        """Run compatible flights as one lockstep batch, with fallback.
-
-        The batch is one *optimistic, uncharged* attempt: on success every
-        member resolves from the shared worker call; on any failure —
-        worker exception, hung batch, pool death — the members fall back
-        to the classic per-flight supervised path (:meth:`_execute`),
-        which attributes failures to individual flights and applies the
-        full retry-policy machinery.  SimulationTimeout raised mid-batch
-        carries the guilty member's run key in its ``point`` attribute.
-        """
-        started = time.time()
-        for flight in flights:
-            for job in flight.jobs:
-                job.state = RUNNING
-                job.started = started
-        self.m_running.inc(len(flights))
-        try:
-            records = await self._execute_batch(flights)
-            if records is not None:
-                for flight in flights:
-                    self.resolve(flight, records[flight.key])
-            else:
-                for flight in flights:
-                    try:
-                        record = await self._execute(flight)
-                    except Exception as exc:
-                        self.resolve(flight, None, error="".join(
-                            traceback.format_exception(
-                                type(exc), exc, exc.__traceback__)))
-                    else:
-                        self.resolve(flight, record)
-        finally:
-            self.m_running.dec(len(flights))
-            for flight in flights:
-                self.inflight.pop(flight.key, None)
-            self._slots.release()
-            self._wakeup.set()
-
-    async def _execute_batch(self, flights: "list[Flight]"):
-        """One uncharged lockstep attempt; ``None`` means fall back."""
-        args = (
-            flights[0].request.scale,
-            tuple(flight.request.grid_point() for flight in flights),
-            None,
-            tuple(flight.key for flight in flights),
-        )
-        # The batch deadline scales with membership: N serial-equivalent
-        # simulations legitimately take up to N single budgets.  A hung
-        # batch or a pool death abandons the generation in the pool; the
-        # members then retry individually, uncharged.
-        timeout = self.retry_policy.timeout
-        if timeout is not None:
-            timeout *= len(flights)
-        started = time.monotonic()
-        verdict, records = await self.pool.attempt(simulate_batch, args,
-                                                   timeout)
-        if verdict != OK:
-            return None
-        self.m_simulations.inc(len(flights))
-        self.m_sim_seconds.observe(time.monotonic() - started)
-        return records
 
     async def _execute(self, flight: Flight) -> RunRecord:
         """One flight to success or exhaustion, under supervision."""

@@ -182,16 +182,22 @@ class OooCore:
         self.fetch_stalled_on: DynInst | None = None  # unpredicted jalr
         self.fetch_wild = False                        # ran off the text segment
         self.halt_fetched = False
-        self.active_regions: list[list] = []  # [branch_seq, reconv_pc, active]
+        # (branch_seq, reconv_pc, call_depth) per open control region.
+        self.active_regions: list[tuple] = []
+        # Calls minus returns fetched so far: a region closes only when its
+        # reconvergence PC is fetched at the depth where it opened, so a
+        # recursive callee's copy of the join leaves the caller's open.
+        self._call_depth = 0
         # Cached frozenset of live region seqs; None = recompute.  Region
         # entries are immutable once created (only the list membership
         # changes), so the cache is invalidated exactly where the list is.
         self._live_deps: frozenset[int] | None = EMPTY_DEPS
         # Reconvergence PCs of the live regions: the fetch loop probes this
         # set once per PC instead of scanning the region list (almost no PC
-        # closes a region).  Exact at close sites (closing removes every
-        # entry with that PC); rebuilt wholesale where regions are filtered
-        # by seq (loop iterations can carry duplicate reconvergence PCs).
+        # closes a region).  Exact at close sites (a PC leaves once no live
+        # entry carries it; entries opened at another call depth can still
+        # hold it); rebuilt wholesale where regions are filtered by seq (loop
+        # iterations can carry duplicate reconvergence PCs).
         self._reconv_live: set[int] = set()
         self._fetch_resume_cycle = 0          # L1I miss stall
         self._last_fetch_line: int | None = None
@@ -426,22 +432,28 @@ class OooCore:
                 budget -= 1
 
                 # Reconvergence tracker: reaching a branch's reconvergence
-                # PC ends its control region (a closed region can never
-                # reopen, so it leaves the live list); then tag with the
-                # remaining ones.
+                # PC at the call depth where the branch was fetched ends its
+                # control region (a closed region can never reopen, so it
+                # leaves the live list); then tag with the remaining ones.
                 regions = self.active_regions
                 if regions:
                     if pc in reconv_live:
-                        self.active_regions = regions = [
-                            entry for entry in regions if entry[1] != pc
-                        ]
-                        reconv_live.discard(pc)
-                        self._live_deps = None
+                        depth = self._call_depth
+                        kept = [entry for entry in regions
+                                if entry[1] != pc or entry[2] != depth]
+                        if len(kept) != len(regions):
+                            self.active_regions = regions = kept
+                            self._live_deps = None
+                            for entry in kept:
+                                if entry[1] == pc:
+                                    break
+                            else:
+                                reconv_live.discard(pc)
                     if regions:
                         deps = self._live_deps
                         if deps is None:
                             deps = self._live_deps = frozenset(
-                                r[0] for r in regions if r[2]
+                                r[0] for r in regions
                             )
                         dyn.control_deps = deps
 
@@ -464,7 +476,8 @@ class OooCore:
                     reconv = dec.reconv_pc if use_compiler_info else None
                     if reconv is not None:
                         reconv_live.add(reconv)
-                    self.active_regions.append([dyn.seq, reconv, True])
+                    self.active_regions.append(
+                        (dyn.seq, reconv, self._call_depth))
                     self._live_deps = None
                     pc = target
                     if taken:
@@ -474,22 +487,26 @@ class OooCore:
                 if kind == K_JAL:
                     if inst.rd != 0:
                         self.ras.push(dec.fallthrough)
+                        self._call_depth += 1
                     pc = inst.imm
                     return  # taken control ends the packet
 
                 if kind == K_JALR:
                     if dec.is_return:  # jalr x0, ra, 0
                         predicted = self.ras.pop()
+                        self._call_depth -= 1
                     else:
                         predicted = self.btb.lookup(pc)
                     if inst.rd != 0:
                         self.ras.push(dec.fallthrough)  # indirect call
+                        self._call_depth += 1
                     if predicted is None:
                         self.fetch_stalled_on = dyn
                         return
                     dyn.predicted_target = predicted
                     dyn.checkpoint = self._front_checkpoint(dyn)
-                    self.active_regions.append([dyn.seq, None, True])
+                    self.active_regions.append(
+                        (dyn.seq, None, self._call_depth))
                     self._live_deps = None
                     pc = predicted
                     return
@@ -514,6 +531,7 @@ class OooCore:
         ckpt = Checkpoint.__new__(Checkpoint)
         ckpt.rename_map = []
         ckpt.ras = self.ras.checkpoint()
+        ckpt.call_depth = self._call_depth
         ckpt.history = self.predictor.history_checkpoint()
         regions = self.active_regions
         ckpt.regions = regions
@@ -1225,6 +1243,7 @@ class OooCore:
             ):
                 self.rename_map[i] = None
         self.ras.restore(checkpoint.ras)
+        self._call_depth = checkpoint.call_depth
         self.predictor.history_restore(checkpoint.history)
         if dyn.inst.is_branch:
             self.predictor.on_speculative_branch(dyn.pc, bool(dyn.actual_taken))

@@ -42,6 +42,7 @@ class Checkpoint:
 
     rename_map: list  # list[DynInst | None] per arch reg
     ras: tuple[int, ...]
+    call_depth: int  # the front end's call depth, as ``ras`` is captured
     history: int
     # Copy-on-write region snapshot: a *reference* to the live region list
     # plus its length at capture time.  Entries are never mutated in place
@@ -49,7 +50,7 @@ class Checkpoint:
     # current binding (every removal rebinds a freshly built list), so the
     # first ``regions_len`` entries of ``regions`` are immutable — the
     # restore path materializes its own copy from that prefix.
-    regions: list  # list of [branch_seq, reconv_pc, active]
+    regions: list  # list of (branch_seq, reconv_pc, call_depth)
     regions_len: int
     fetch_pc_after: int  # where fetch would go if the prediction was wrong
 

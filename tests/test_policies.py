@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.asm import assemble
 from repro.functional import run_program
+from repro.isa import Opcode
 from repro.secure import make_policy
 from repro.uarch import OooCore
 from repro.workloads import build_workload
@@ -113,3 +115,71 @@ def test_policy_stats_are_consistent(gather_results):
         assert stats.load_gate_cycles >= stats.loads_gated >= 0
         assert stats.committed > 0
         assert stats.cycles > 0
+
+
+# f(1) recurses once: the caller's beq falls through into the call and the
+# callee's beq jumps to `join`.  The callee's copy of `join` therefore runs
+# only because the caller's branch fell through, so the caller's region
+# must stay open across it even though it reaches the caller's
+# reconvergence PC.
+RECURSIVE_JOIN = """
+.data
+flag: .dword 1
+val:  .dword 5
+ptr:  .dword 0
+.text
+    la s0, flag
+    la s1, ptr
+    la t0, val
+    sd t0, 0(s1)
+    li s2, 40
+    li a1, 0
+loop:
+    li a0, 1
+    call f
+    addi s2, s2, -1
+    bnez s2, loop
+    mv a0, a1
+    halt
+f:
+    cflush 0(s0)
+    ld t0, 0(s0)          # slow: the beq resolves late
+    and t0, t0, a0
+    beq t0, x0, join
+    addi sp, sp, -16
+    sd ra, 0(sp)
+    addi a0, a0, -1
+    jal ra, f
+    ld ra, 0(sp)
+    addi sp, sp, 16
+join:
+    ld t1, 0(s1)
+    ld t2, 0(t1)          # memory-derived address: a transmitter
+    add a1, a1, t2
+    ret
+"""
+
+
+@pytest.mark.parametrize("policy", ("ctt", "levioso"))
+def test_recursive_callee_loads_wait_for_the_callers_branch(policy):
+    """No callee `ld t2` may issue before its caller's `beq` resolves."""
+    program = assemble(RECURSIVE_JOIN)
+    core = OooCore(program, policy=make_policy(policy), record_pipeline=True)
+    result = core.run()
+    assert result.regs == run_program(program).regs
+    caller = None
+    in_callee = False
+    early = []
+    callee_loads = 0
+    for dyn in core.retired:
+        if dyn.opcode is Opcode.BEQ:
+            in_callee = bool(dyn.actual_taken)  # only the callee's is taken
+            if not in_callee:
+                caller = dyn
+        elif dyn.opcode is Opcode.LD and dyn.inst.rd == 7 and in_callee:
+            in_callee = False
+            callee_loads += 1
+            if dyn.issue_cycle < caller.complete_cycle:
+                early.append(dyn.seq)
+    assert callee_loads == 40
+    assert early == []

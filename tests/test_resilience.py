@@ -1,4 +1,4 @@
-"""Fault-tolerant execution: supervisor, journal, cache integrity, chaos.
+"""Fault-tolerant execution: supervisor, cached reruns, cache integrity, chaos.
 
 Covers the resilience layer's contracts:
 
@@ -6,8 +6,8 @@ Covers the resilience layer's contracts:
 * injected worker crashes/hangs/kills and cache corruption are survived
   without operator intervention, and the recovered results are
   bit-identical to a clean serial run;
-* a run killed mid-grid leaves a journal + cache from which ``--resume``
-  re-simulates only the unfinished points (run-count accounting);
+* a run killed mid-grid leaves a cache from which a rerun re-simulates
+  only the unfinished points (run-count accounting);
 * the persistent cache detects and quarantines damaged entries instead
   of crashing or silently serving them.
 """
@@ -39,9 +39,7 @@ from repro.harness import (
     ParallelRunner,
     ResultCache,
     RetryPolicy,
-    RunJournal,
     resilience_summary,
-    run_experiments,
 )
 from repro.harness.resilience import (
     HOLE,
@@ -114,22 +112,6 @@ def test_backoff_jitter_is_deterministic_and_bounded():
         assert base <= d1 <= base * 1.5
     # Different keys decorrelate.
     assert policy.delay(1, "key-a") != policy.delay(1, "key-b")
-
-
-# ----------------------------------------------------------------- journal
-def test_journal_roundtrip_and_torn_line(tmp_path):
-    journal = RunJournal(tmp_path / "j.jsonl")
-    journal.record("k1", "ok", workload="gather", policy="none")
-    journal.record("k2", "retried", attempts=3)
-    journal.record("k3", "failed")
-    # Simulate a SIGKILL mid-append: a torn, non-JSON final line.
-    with open(journal.path, "a") as f:
-        f.write('{"key": "k4", "sta')
-    assert journal.completed() == {"k1", "k2"}  # failed + torn excluded
-    entries = journal.entries()
-    assert [e["key"] for e in entries] == ["k1", "k2", "k3"]
-    journal.clear()
-    assert journal.completed() == set()
 
 
 # -------------------------------------------------------------- fault plan
@@ -591,15 +573,12 @@ def test_failed_run_record_is_all_nan():
 _KILL_DRIVER = """
 import sys
 from repro.faults import FaultPlan, FaultSpec
-from repro.harness import GridPoint, ParallelRunner, ResultCache, RunJournal
+from repro.harness import GridPoint, ParallelRunner, ResultCache
 
-cache_dir, journal_path, fault_dir = sys.argv[1:4]
+cache_dir, fault_dir = sys.argv[1:3]
 points = [GridPoint(w, p) for w in ("gather", "pchase")
           for p in ("none", "levioso")]
-runner = ParallelRunner(
-    scale="test", jobs=1,
-    cache=ResultCache(cache_dir), journal=RunJournal(journal_path),
-)
+runner = ParallelRunner(scale="test", jobs=1, cache=ResultCache(cache_dir))
 # Aim the kill at the THIRD point's key: with jobs=1 the fault SIGKILLs
 # this whole process mid-grid, exactly like an operator ^9.
 kill_key = runner.run_key_for(points[2].workload, points[2].policy)
@@ -613,41 +592,31 @@ print("unreachable")
 
 def test_resume_after_sigkill_runs_only_unfinished_points(tmp_path):
     cache_dir = tmp_path / "cache"
-    journal_path = tmp_path / "journal.jsonl"
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     env.pop(FAULT_ENV, None)
     proc = subprocess.run(
         [sys.executable, "-c", _KILL_DRIVER,
-         str(cache_dir), str(journal_path), str(tmp_path / "faults")],
+         str(cache_dir), str(tmp_path / "faults")],
         env=env, cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == -signal.SIGKILL  # died mid-grid, no cleanup
     assert "unreachable" not in proc.stdout
 
-    journal = RunJournal(journal_path)
-    done_before = journal.completed()
-    assert len(done_before) == 2  # exactly the points that finished
+    cache = ResultCache(cache_dir)
+    assert len(cache.entries()) == 2  # exactly the points that finished
 
-    resumed = ParallelRunner(
-        scale="test", jobs=1, cache=ResultCache(cache_dir),
-        journal=journal, resume=True,
-    )
+    # Resuming is rerunning over the same cache.
+    resumed = ParallelRunner(scale="test", jobs=1, cache=cache)
     points = [GridPoint(w, p) for w in WORKLOADS for p in POLICIES]
     ran = resumed.prefetch(points)
     assert ran == len(points) - 2       # only the unfinished points
     assert resumed.simulations == len(points) - 2
-    assert journal.completed() >= {  # manifest now covers the whole grid
-        resumed.run_key_for(p.workload, p.policy) for p in points
-    }
+    assert cache.stats.hits == 2
+    assert len(cache.entries()) == len(points)
     reference = _clean_reference()
     _assert_matches_reference(resumed, reference)
-
-
-def test_run_experiments_resume_requires_cache():
-    with pytest.raises(HarnessError, match="resume"):
-        run_experiments(["fig1"], scale="test", resume=True)
 
 
 # ------------------------------------------------------------- e2e + CLI

@@ -1,15 +1,15 @@
 """Restart durability: state that must survive a SIGKILL.
 
-Two persistence layers make interrupted work cheap to finish:
+One persistence layer, the on-disk :class:`ResultCache`, makes
+interrupted work cheap to finish:
 
-* the daemon's on-disk :class:`ResultCache` — a killed-and-restarted
-  ``repro serve`` with the same ``--cache-dir`` answers previously
-  completed keys as cache hits without re-simulating;
-* the :class:`RunJournal` — a batch invocation killed mid-grid leaves a
-  fsynced manifest, and ``--resume`` re-simulates only the points whose
-  results never landed, including when the kill interrupts a *lockstep
-  batch* (whole-batch completions journal per member, so a half-done
-  batch is simply absent and reruns).
+* a killed-and-restarted ``repro serve`` with the same ``--cache-dir``
+  answers previously completed keys as cache hits without re-simulating;
+* a batch invocation killed mid-grid resumes by running it again over
+  the same cache: only the points whose results never landed simulate,
+  including when the kill interrupts a *lockstep batch* (a finished
+  batch stores every member, so a half-done batch is simply absent and
+  reruns).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import GridPoint, ParallelRunner
-from repro.harness.resilience import RunJournal
 from repro.harness.runner import ExperimentRunner
 from repro.service.client import ServiceClient
 
@@ -139,7 +138,7 @@ def test_daemon_restart_serves_completed_keys_from_disk(tmp_path):
 # Two workloads x several policies -> two lockstep batches under
 # REPRO_NO_LOCKSTEP=0 (points sharing a workload share a program image).
 # gather's batch finishes fast; bsearch's batch runs long enough that a
-# kill fired right after gather's journal entries lands mid-batch.
+# kill fired right after gather's cache entries land mid-batch.
 RESUME_GRID = [
     ("gather", "none"), ("gather", "levioso"),
     ("bsearch", "none"), ("bsearch", "fence"), ("bsearch", "levioso"),
@@ -149,11 +148,9 @@ _CHILD_SCRIPT = """
 import os
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import GridPoint, ParallelRunner
-from repro.harness.resilience import RunJournal
 
 cache = ResultCache(os.environ["DRILL_CACHE"])
-journal = RunJournal(os.environ["DRILL_JOURNAL"])
-runner = ParallelRunner(scale="test", jobs=1, cache=cache, journal=journal)
+runner = ParallelRunner(scale="test", jobs=1, cache=cache)
 grid = [GridPoint(w, p) for w, p in [
     ("gather", "none"), ("gather", "levioso"),
     ("bsearch", "none"), ("bsearch", "fence"), ("bsearch", "levioso"),
@@ -165,26 +162,24 @@ print("GRID DONE", flush=True)
 
 @pytest.mark.skipif(os.environ.get("REPRO_NO_LOCKSTEP") == "1",
                     reason="drill targets the lockstep batch path")
-def test_journal_resume_after_kill_mid_lockstep_batch(tmp_path):
+def test_cached_rerun_after_kill_mid_lockstep_batch(tmp_path):
     cache_dir = tmp_path / "cache"
-    journal_path = tmp_path / "journal.jsonl"
     env = _repro_env()
     env["DRILL_CACHE"] = str(cache_dir)
-    env["DRILL_JOURNAL"] = str(journal_path)
     env.pop("REPRO_NO_LOCKSTEP", None)
 
     proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD_SCRIPT],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
     )
-    journal = RunJournal(journal_path)
+    cache = ResultCache(cache_dir)
     try:
-        # The journal fsyncs every append: the instant gather's batch
+        # Every put is an atomic rename: the instant gather's batch
         # completes, its two entries are readable here — and bsearch's
         # three-point batch is still simulating.  Kill right then.
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            if len(journal.completed()) >= 2:
+            if len(cache.entries()) >= 2:
                 break
             if proc.poll() is not None:
                 raise AssertionError("child finished before the kill — "
@@ -196,10 +191,8 @@ def test_journal_resume_after_kill_mid_lockstep_batch(tmp_path):
             proc.kill()
         proc.wait(timeout=30)
 
-    done = journal.completed()
-    assert len(done) >= 2, "first lockstep batch never journaled"
+    assert len(cache.entries()) >= 2, "first lockstep batch never stored"
 
-    cache = ResultCache(cache_dir)
     keyer = ParallelRunner(scale="test", jobs=1, cache=cache)
     keys = {
         (w, p): keyer.run_key_for(w, p, keyer.config, True)
@@ -207,19 +200,12 @@ def test_journal_resume_after_kill_mid_lockstep_batch(tmp_path):
     }
     missing = [k for k in keys.values() if cache.get(k) is None]
     assert missing, "kill landed after the whole grid completed"
-    # Journaled keys must actually have their results on disk — the
-    # journal never gets ahead of the cache (record is written after
-    # the cache put, and both are fsynced/atomic respectively).
-    for key in done:
-        assert cache.get(key) is not None
 
-    resumed = ParallelRunner(scale="test", jobs=1, cache=cache,
-                             journal=RunJournal(journal_path), resume=True)
+    resumed = ParallelRunner(scale="test", jobs=1, cache=cache)
     resumed.prefetch([GridPoint(w, p) for w, p in RESUME_GRID])
-    # Resume re-simulates exactly the points that never landed: the
+    # The rerun re-simulates exactly the points that never landed: the
     # interrupted batch's members, never the completed batch's.
     assert resumed.simulations == len(missing)
-    assert journal.completed() >= set(keys.values())
 
     serial = ExperimentRunner(scale="test")
     for (w, p), key in keys.items():

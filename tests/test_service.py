@@ -478,6 +478,39 @@ def test_service_supervision_recovers_bit_identical(
     assert metrics["repro_service_degraded"] == degraded
 
 
+def test_worker_exception_is_charged_to_its_own_flight(tmp_path):
+    """Flights queued together still run one supervised point each: a
+    worker exception costs exactly its own flight one retry, however
+    many same-workload flights were waiting beside it."""
+    policies = ("none", "fence", "levioso")
+    bad_key = ExperimentRunner(scale="test").run_key_for("gather", "levioso")
+    plan = FaultPlan([FaultSpec("worker", "exception", match=bad_key)],
+                     state_dir=tmp_path).install()
+    try:
+        with ServiceThread(ServiceConfig(port=0, jobs=1)) as server:
+            client = ServiceClient(server.base_url)
+            server.pause()   # queue all three before any of them pops
+            try:
+                jobs = client.submit([{"workload": "gather", "policy": p}
+                                      for p in policies])
+            finally:
+                server.resume()
+            finals = client.wait([j["id"] for j in jobs], timeout=120)
+            metrics = client.metrics()
+    finally:
+        uninstall()
+    assert plan.fired() == 1
+    by_policy = {final["request"]["policy"]: final
+                 for final in finals.values()}
+    assert {p: f["attempts"] for p, f in by_policy.items()} == {
+        "none": 1, "fence": 1, "levioso": 2}
+    assert metrics["repro_service_retries_total"] == 1
+    serial = ExperimentRunner(scale="test")
+    for policy, final in by_policy.items():
+        assert ResultCache.serialize(client.record_of(final)) == \
+            ResultCache.serialize(serial.run("gather", policy).slim())
+
+
 # ------------------------------------------------------- concurrent clients
 def test_many_threads_submitting_same_point_coalesce(service):
     """N racing clients of one point: one simulation, N identical answers."""
