@@ -6,7 +6,12 @@ triple becomes a :class:`~repro.harness.parallel.GridPoint` with
 campaigns get lockstep batching, supervised retries and the persistent
 run cache for free, and re-running a seed is mostly cache hits.  Fuzz
 workload names are self-describing (``fuzz/s<seed>/i<index>/f<fill>``),
-so workers rebuild their programs without a corpus file.
+so workers rebuild their programs without a corpus file.  The two fills
+of one (item, policy) are *fill twins* that the planner keeps in one work
+item: the worker simulates the first fill, and when secret labels prove
+that run fill-independent the second fill's record is a copy of it
+(DESIGN.md §15).  A leaking pair is never proven, so it still simulates
+both fills.
 
 The report cross-validates the static scanner against the differential
 oracle: per gadget class, a confusion matrix of scanner verdicts vs (a)

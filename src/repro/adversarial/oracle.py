@@ -100,21 +100,30 @@ def program_verdict(
     """Judge one in-memory program under one policy (serial, uncached).
 
     Campaigns go through the parallel runner instead; this is the
-    entrypoint for ``repro repair`` and tests.  A program with no
-    ``.secret`` ranges is trivially SECURE (identical images).
+    entrypoint for ``repro repair``, ``repro mitigate`` and tests.  A
+    program with no ``.secret`` ranges is trivially SECURE (identical
+    images).  The first fill is simulated; when its core proves the run
+    fill-independent (DESIGN.md §15), every other fill would repeat it
+    exactly, so its digest stands for them too.
     """
     from ..secure import make_policy
     from ..uarch import OooCore
 
-    digests = []
-    for fill in fills:
+    def run(fill: int) -> OooCore:
         core = OooCore(
             secret_filled(program, fill),
             policy=make_policy(policy),
             record_observations=True,
         )
         core.run()
-        digests.append(core.observations.digest())
+        return core
+
+    first = run(fills[0])
+    digests = [first.observations.digest()]
+    if first.fill_independent():
+        digests *= len(fills)
+    else:
+        digests += [run(fill).observations.digest() for fill in fills[1:]]
     return differential_verdict(program.name, policy, digests)
 
 

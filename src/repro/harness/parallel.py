@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 from ..errors import HarnessError
 from ..uarch import CoreConfig
 from .cache import ResultCache
-from .lockstep import LOCKSTEP_MAX, lockstep_enabled, simulate_work
+from .lockstep import LOCKSTEP_MAX, lockstep_enabled, simulate_work, twin_key
 from .resilience import (
     ResilienceReport,
     RetryPolicy,
@@ -114,6 +114,9 @@ class ParallelRunner(ExperimentRunner):
         self.retry_policy = retry_policy or RetryPolicy()
         self.keep_going = keep_going
         self.report = ResilienceReport()
+        #: Fill-twin records copied from a proven first fill instead of
+        #: simulated (DESIGN.md §15); ``simulations`` excludes them.
+        self.copies = 0
         #: key -> (workload, policy) of points that exhausted their budget.
         self.failed_points: dict[str, tuple[str, str]] = {}
 
@@ -152,8 +155,12 @@ class ParallelRunner(ExperimentRunner):
             # simulate_batch returns {key: record} for every member.
             records = (record if item.key in batch_members
                        else {item.key: record})
+            copied = getattr(records, "copied", ())
             for key, rec in records.items():
-                self.simulations += 1
+                if key in copied:
+                    self.copies += 1
+                else:
+                    self.simulations += 1
                 self._cache[key] = rec
                 if self.cache is not None:
                     self.cache.put(key, rec)
@@ -193,44 +200,62 @@ class ParallelRunner(ExperimentRunner):
     ) -> tuple[list[WorkItem], dict[str, list[tuple[str, GridPoint]]]]:
         """Turn deduped grid points into supervised work items.
 
-        With lockstep enabled, points sharing a workload (hence a program
-        image) are chunked into batches of up to :data:`LOCKSTEP_MAX` that
-        one worker runs in lockstep (:mod:`repro.harness.lockstep`);
-        singletons — and everything, under ``REPRO_NO_LOCKSTEP=1`` — use
-        the classic one-point-per-task path.  Returns the work items plus
-        the batch-key -> members map used to fan results back out.
+        Observed points whose programs differ only in their secret fill
+        (:func:`~repro.harness.lockstep.twin_key`) form a *twin family*,
+        and a family is always one work item: its worker simulates the
+        first fill and copies the rest when the run is proven
+        fill-independent (DESIGN.md §15).  With lockstep enabled, units
+        (families and lone points) sharing a workload are chunked into
+        batches of up to :data:`LOCKSTEP_MAX` points that one worker runs
+        in lockstep (:mod:`repro.harness.lockstep`); a chunk never splits
+        a family.  Lone points outside a batch — and every lone point
+        under ``REPRO_NO_LOCKSTEP=1`` — use the classic one-point-per-task
+        path.  Returns the work items plus the batch-key -> members map
+        used to fan results back out.
         """
         items: list[WorkItem] = []
         batch_members: dict[str, list[tuple[str, GridPoint]]] = {}
+        interleave = lockstep_enabled()
 
-        def single(key: str, point: GridPoint) -> WorkItem:
-            return WorkItem(key=key, args=(self.scale, point, self.config),
-                            workload=point.workload, policy=point.policy)
-
-        if not lockstep_enabled() or len(todo) < 2:
-            return [single(key, point) for key, point in todo], batch_members
-
-        groups: dict[str, list[tuple[str, GridPoint]]] = {}
-        for key, point in todo:
-            groups.setdefault(point.workload, []).append((key, point))
-        for workload, members in groups.items():
-            for i in range(0, len(members), LOCKSTEP_MAX):
-                chunk = members[i:i + LOCKSTEP_MAX]
-                if len(chunk) == 1:
-                    items.append(single(*chunk[0]))
-                    continue
-                keys = tuple(k for k, _ in chunk)
-                bkey = "batch:" + hashlib.sha256(
-                    "|".join(keys).encode()
-                ).hexdigest()[:16]
-                batch_members[bkey] = chunk
+        def emit(chunk: list[tuple[str, GridPoint]], label: str) -> None:
+            if len(chunk) == 1:
+                key, point = chunk[0]
                 items.append(WorkItem(
-                    key=bkey,
-                    args=(self.scale, tuple(p for _, p in chunk),
-                          self.config, keys),
-                    workload=workload,
-                    policy=f"{len(chunk)}-point lockstep batch",
-                ))
+                    key=key, args=(self.scale, point, self.config),
+                    workload=point.workload, policy=point.policy))
+                return
+            keys = tuple(k for k, _ in chunk)
+            bkey = "batch:" + hashlib.sha256(
+                "|".join(keys).encode()
+            ).hexdigest()[:16]
+            batch_members[bkey] = chunk
+            args = (self.scale, tuple(p for _, p in chunk), self.config, keys)
+            items.append(WorkItem(
+                key=bkey, args=args if interleave else args + (False,),
+                workload=chunk[0][1].workload, policy=label,
+            ))
+
+        units: dict[tuple, list[tuple[str, GridPoint]]] = {}
+        for key, point in todo:
+            tkey = twin_key(self.workload(point.workload), point,
+                            point.config or self.config)
+            units.setdefault(tkey or (key,), []).append((key, point))
+        if not interleave or len(todo) < 2:
+            for unit in units.values():
+                emit(unit, f"{unit[0][1].policy}, {len(unit)} fill twins")
+            return items, batch_members
+
+        groups: dict[str, list[list[tuple[str, GridPoint]]]] = {}
+        for unit in units.values():
+            groups.setdefault(unit[0][1].workload, []).append(unit)
+        for group in groups.values():
+            chunk: list[tuple[str, GridPoint]] = []
+            for unit in group:
+                if chunk and len(chunk) + len(unit) > LOCKSTEP_MAX:
+                    emit(chunk, f"{len(chunk)}-point lockstep batch")
+                    chunk = []
+                chunk += unit
+            emit(chunk, f"{len(chunk)}-point lockstep batch")
         return items, batch_members
 
     def run(self, workload_name, policy_name, config=None,

@@ -71,6 +71,7 @@ class DelayOnMissPolicy(SpeculationPolicy):
 
     name = "dom"
     uses_taint_roots = False
+    reads_address = True  # peek_l1_hit(dyn.mem_address)
     protects_speculative_secrets = True
     protects_nonspeculative_secrets = True
 

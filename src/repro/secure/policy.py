@@ -66,6 +66,10 @@ class SpeculationPolicy(abc.ABC):
     #: CoreStats.  Conservative default: a new policy must opt out
     #: explicitly after checking it never reads roots.
     uses_taint_roots = True
+    #: Does the load gate read ``dyn.mem_address``?  Then the address
+    #: reaches the gate's decision, and the core's fill-independence proof
+    #: counts it as a sink there rather than after the gate (DESIGN.md §15).
+    reads_address = False
 
     def __init__(self) -> None:
         self.stats = PolicyStats()

@@ -14,6 +14,12 @@ observes and the defenses must prevent from transmitting.
 Stage order within a cycle: completions (incl. branch resolution/squash) ->
 commit -> issue -> dispatch -> fetch.  A producer completing at cycle C can
 wake a consumer that issues at C (1-cycle back-to-back bypass).
+
+Every run also carries a *secret label* per value (DESIGN.md §15): a run in
+which no labelled value reached a sink (a memory address, a branch or
+``jalr`` operand) is *fill-independent* — rerunning it with other bytes in
+its ``.secret`` ranges repeats it exactly, which lets the differential
+oracle simulate one fill of a pair instead of two.
 """
 
 from __future__ import annotations
@@ -170,6 +176,15 @@ class OooCore:
         self.arf = [0] * NUM_REGS
         self.arf[2] = STACK_TOP  # sp
         self.arf_taint = [False] * NUM_REGS
+        self.arf_secret = [False] * NUM_REGS
+        # Secret labels (DESIGN.md §15).  Labels start at the bytes of the
+        # .secret ranges, so without any the byte checks are skipped.
+        # ``_shadow`` holds the bytes labelled stores wrote since;
+        # ``secret_escaped`` records that a labelled value reached a sink.
+        self._secret_spans = tuple(
+            (r.start, r.end) for r in program.secret_ranges)
+        self._shadow: set[int] = set()
+        self.secret_escaped = False
         self.memory = SparseMemory()
         self.memory.load_image(program.data_base, program.data)
 
@@ -320,6 +335,18 @@ class OooCore:
             hierarchy=self.hierarchy,
             observations=self.observations,
         )
+
+    def fill_independent(self, check_reg: int | None = None) -> bool:
+        """Would a run that differs only in ``.secret`` bytes repeat this one?
+
+        True when no labelled value reached a sink and, given a self-check
+        register, that register is unlabelled at halt: the other run then
+        has the same cycles, counters, observations and check value
+        (DESIGN.md §15).  Meaningful once the core has halted.
+        """
+        if self.secret_escaped:
+            return False
+        return check_reg is None or not self.arf_secret[check_reg]
 
     def step(self) -> None:
         """Advance one cycle."""
@@ -560,6 +587,7 @@ class OooCore:
         rename_map = self.rename_map
         arf = self.arf
         arf_taint = self.arf_taint
+        arf_secret = self.arf_secret
         while width > 0 and fetch_queue:
             dyn = fetch_queue[0]
 
@@ -599,6 +627,7 @@ class OooCore:
                 else:
                     dyn.src1_value = arf[rs]
                     dyn.src1_arf_tainted = arf_taint[rs]
+                    dyn.src1_arf_secret = arf_secret[rs]
             rs = dec.rs2n
             if rs >= 0:
                 producer = rename_map[rs]
@@ -610,6 +639,7 @@ class OooCore:
                 else:
                     dyn.src2_value = arf[rs]
                     dyn.src2_arf_tainted = arf_taint[rs]
+                    dyn.src2_arf_secret = arf_secret[rs]
             dest = dec.dest
             if dest is not None:
                 rename_map[dest] = dyn
@@ -880,8 +910,14 @@ class OooCore:
                 dyn.mem_address = semantics.effective_address(
                     dyn.value_of_src1(), inst.imm
                 )
+        p = dyn.src1_producer
+        address_secret = (p.out_secret if p is not None
+                          else dyn.src1_arf_secret)
 
         if opcode.is_store:
+            # Sink: the address drives disambiguation for younger loads.
+            if address_secret:
+                self.secret_escaped = True
             p = dyn.src2_producer
             dyn.store_data = p.result if p is not None else dyn.src2_value
             if dyn.stage is Stage.DISPATCHED:
@@ -902,8 +938,12 @@ class OooCore:
 
         # Loads and cflush are transmitters: consult the policy (the
         # checked_may_issue_load wrapper's bookkeeping is inlined — this
-        # runs once per load issue attempt).
+        # runs once per load issue attempt).  The address is a sink where
+        # it first matters: at the gate for a policy that reads it there,
+        # else once the gate let it through to disambiguation and memory.
         policy = self.policy
+        if address_secret and policy.reads_address:
+            self.secret_escaped = True
         pstats = policy.stats
         pstats.gate_checks += 1
         if not policy.may_issue_load(dyn, self):
@@ -916,6 +956,8 @@ class OooCore:
             self.stats.load_gate_cycles += 1
             pstats.gate_cycles += 1
             return False
+        if address_secret:
+            self.secret_escaped = True
 
         if opcode is Opcode.CFLUSH:
             # clflush semantics: the line leaves the hierarchy at execute
@@ -981,6 +1023,8 @@ class OooCore:
         ready = self.hierarchy.load(
             address, cycle + self.config.agu_latency, pc=inst.pc
         )
+        if self._secret_spans:
+            dyn.out_secret = self._bytes_labelled(address, size)
         raw = self.memory.read_int(address, size)
         if self._specialize:
             dyn.result = dyn.dec.ext(raw)
@@ -992,6 +1036,19 @@ class OooCore:
         dyn.issue_cycle = self._cycle
         heapq.heappush(self.completions, (ready, dyn.seq, dyn))
         return True
+
+    def _bytes_labelled(self, address: int, size: int) -> bool:
+        """Do the bytes ``[address, address + size)`` carry the label?"""
+        end = address + size
+        for start, stop in self._secret_spans:
+            if address < stop and start < end:
+                return True
+        shadow = self._shadow
+        if shadow:
+            for byte in range(address, end):
+                if byte in shadow:
+                    return True
+        return False
 
     @staticmethod
     def _extend(raw: int, size: int, opcode: Opcode) -> int:
@@ -1054,6 +1111,7 @@ class OooCore:
                 dyn.out_tainted = (
                     dyn.src1_arf_tainted or dyn.src2_arf_tainted
                 )
+                dyn.out_secret = dyn.src1_arf_secret or dyn.src2_arf_secret
             else:
                 dyn.finalize_lineage(unresolved, inflight_loads, track_roots)
             if (
@@ -1099,6 +1157,10 @@ class OooCore:
 
     # ---------------------------------------------------- control resolution
     def _resolve_control(self, dyn: DynInst, cycle: int) -> None:
+        # Sink: a branch's operands pick its direction and a jalr's its
+        # target (the lineage was finalized just before this call).
+        if dyn.out_secret:
+            self.secret_escaped = True
         self.unresolved_ctrl.discard(dyn.seq)
         # A resolved branch creates no control dependence: retire its
         # tracker region so younger fetches stop inheriting it (and the
@@ -1276,6 +1338,7 @@ class OooCore:
         stats = self.stats
         arf = self.arf
         arf_taint = self.arf_taint
+        arf_secret = self.arf_secret
         rename_map = self.rename_map
         observations = self.observations
         record_trace = self.record_trace
@@ -1317,6 +1380,12 @@ class OooCore:
                 if cc == C_STORE:
                     address = dyn.mem_address
                     self.memory.write_int(address, dyn.store_data, dec.asize)
+                    if self._secret_spans:
+                        written = range(address, address + dec.asize)
+                        if dyn.out_secret:
+                            self._shadow.update(written)
+                        elif self._shadow:
+                            self._shadow.difference_update(written)
                     self.hierarchy.store(address, cycle)
                     if observations is not None:
                         observations.record("st", dyn.pc, address, cycle,
@@ -1345,6 +1414,7 @@ class OooCore:
             if dest is not None:
                 arf[dest] = dyn.result
                 arf_taint[dest] = dyn.out_tainted
+                arf_secret[dest] = dyn.out_secret
                 if rename_map[dest] is dyn:
                     rename_map[dest] = None
             dyn.drop_links()

@@ -14,6 +14,11 @@ their producers complete — always observe final sets):
   ``out_tainted`` says the value descends from *any* loaded data, a
   persistent property carried across commit by the core's architectural
   taint bits (comprehensive policies' structural taint).
+* ``out_secret`` — the secret label: the value descends from a byte of a
+  ``.secret`` range, directly or through memory a labelled store wrote.
+  It rides along ``out_tainted`` through rename, forwarding and the ARF
+  bits, and feeds only the core's fill-independence proof (DESIGN.md
+  §15); no policy reads it, so it never changes timing.
 """
 
 from __future__ import annotations
@@ -94,6 +99,8 @@ class DynInst:
     src2_value: int = 0
     src1_arf_tainted: bool = False
     src2_arf_tainted: bool = False
+    src1_arf_secret: bool = False
+    src2_arf_secret: bool = False
 
     # Control lineage assigned by the front-end reconvergence tracker.
     control_deps: frozenset[int] = EMPTY
@@ -102,6 +109,9 @@ class DynInst:
     out_deps: frozenset[int] = EMPTY
     out_roots: frozenset[int] = EMPTY
     out_tainted: bool = False
+    # Secret label.  A load sets it at issue from the bytes it reads; at
+    # completion it is finalized like the other lineage.
+    out_secret: bool = False
 
     # Execution results
     result: int = 0
@@ -222,31 +232,43 @@ class DynInst:
         set empty, root sets then stay empty along the whole chain, so
         per-completion set construction disappears for policies that never
         read them.
+
+        The secret label of a load is that of the bytes it read (set at
+        issue) or, when forwarded, that of the forwarding store's data;
+        its address label does not enter it, because a labelled address
+        has already reached a sink.
         """
         op = self.opcode
         p1 = self.src1_producer
         p2 = self.src2_producer
         if p1 is not None:
             d1, r1, t1 = p1.out_deps, p1.out_roots, p1.out_tainted
+            s1 = p1.out_secret
         else:
             d1, r1, t1 = EMPTY, EMPTY, self.src1_arf_tainted
+            s1 = self.src1_arf_secret
         if p2 is not None:
             d2, r2, t2 = p2.out_deps, p2.out_roots, p2.out_tainted
+            s2 = p2.out_secret
         else:
             d2, r2, t2 = EMPTY, EMPTY, self.src2_arf_tainted
+            s2 = self.src2_arf_secret
         deps = self.control_deps
         if d1 or d2:
             deps = deps | d1 | d2
         roots = r1 | r2 if (r1 or r2) else EMPTY
         tainted = t1 or t2
+        secret = s1 or s2
 
         if op.is_load and op is not Opcode.CFLUSH:
             tainted = True
+            secret = self.out_secret
             if track_roots:
                 roots = roots | frozenset((self.seq,))
             if self.forwarded_from is not None:
                 store = self.forwarded_from
                 deps = deps | store.out_deps
+                secret = store.out_secret
                 if store.out_roots:
                     roots = roots | store.out_roots
         if unresolved is not None and deps:
@@ -256,6 +278,7 @@ class DynInst:
         self.out_deps = deps
         self.out_roots = roots
         self.out_tainted = tainted
+        self.out_secret = secret
 
     # ------------------------------------------------------------ shorthand
     @property

@@ -99,7 +99,12 @@ class SecretFill:
                 + program.data[offset + 8:])
 
 
-def _key(source: str, fill: SecretFill | None) -> str:
+def build_key(source: str, fill: SecretFill | None) -> str:
+    """The cache key of ``source``: its text with the fill blanked out.
+
+    Two sources with one key build the same program up to the bytes of
+    the fill slot, which lie in a ``.secret`` range.
+    """
     return fill.blank(source) if fill is not None else source
 
 
@@ -178,7 +183,7 @@ class BuildCache:
     def program(self, source: str, name: str = "program",
                 fill: SecretFill | None = None) -> Program:
         """The assembled program of ``source``, analysis attached."""
-        key = _key(source, fill)
+        key = build_key(source, fill)
         with self._lock:
             entry = self._programs.get(key)
             if entry is not None:
@@ -204,7 +209,7 @@ class BuildCache:
         """The scanner report of ``source``'s program."""
         from ..analysis.scanner import scan_program
 
-        results = self._result(_key(source, fill))
+        results = self._result(build_key(source, fill))
         report = results.get("scan")
         if report is None:
             report = results["scan"] = scan_program(
@@ -219,11 +224,11 @@ class BuildCache:
         as an entry of its own."""
         from ..adversarial import repair as repair_mod
 
-        results = self._result(_key(source, fill))
+        results = self._result(build_key(source, fill))
         if "repair" not in results:
             outcome = repair_mod.repair_program(
                 self.program(source, name, fill), report=results.get("scan"))
-            blank = _key(outcome.source, fill)
+            blank = build_key(outcome.source, fill)
             if outcome.source != source:
                 self._store(blank, outcome.program, fill)
             fields = {f.name: getattr(outcome, f.name)

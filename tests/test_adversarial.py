@@ -52,6 +52,57 @@ def test_oracle_matrix_matches_attack_suite(policy):
         assert verdict.leaks == want_leak, (name, policy, verdict)
 
 
+#: ``program_verdict`` digests (first 16 hex digits, fills 0x41/0xC3) as
+#: simulated fill by fill; a proven first fill must reproduce them.
+PINNED_DIGESTS = {
+    "spectre_v1/ctt": ("09fe20a00b343ad2", "09fe20a00b343ad2"),
+    "spectre_v1/dom": ("d9d5d2d3992b625d", "d9d5d2d3992b625d"),
+    "spectre_v1/fence": ("e191264ea3aea425", "e191264ea3aea425"),
+    "spectre_v1/levioso": ("09fe20a00b343ad2", "09fe20a00b343ad2"),
+    "spectre_v1/nda": ("ba754713d8e86021", "ba754713d8e86021"),
+    "spectre_v1/none": ("1bd53140270aaac5", "e4f2fc6eeb7c3f66"),
+    "spectre_v1/stt": ("30ff4c33630ad95c", "30ff4c33630ad95c"),
+    "spectre_v1_ct/ctt": ("ce9f41003b94591d", "ce9f41003b94591d"),
+    "spectre_v1_ct/dom": ("ce9f41003b94591d", "ce9f41003b94591d"),
+    "spectre_v1_ct/fence": ("ce9f41003b94591d", "ce9f41003b94591d"),
+    "spectre_v1_ct/levioso": ("ce9f41003b94591d", "ce9f41003b94591d"),
+    "spectre_v1_ct/nda": ("978fb7160d9aeddd", "7ca6555c7aabd3c4"),
+    "spectre_v1_ct/none": ("978fb7160d9aeddd", "7ca6555c7aabd3c4"),
+    "spectre_v1_ct/stt": ("978fb7160d9aeddd", "7ca6555c7aabd3c4"),
+    "spectre_v2/ctt": ("6c7f0fa07aa86347", "6c7f0fa07aa86347"),
+    "spectre_v2/dom": ("ec036693cfe1c89d", "ec036693cfe1c89d"),
+    "spectre_v2/fence": ("bd09e37efdb540a8", "bd09e37efdb540a8"),
+    "spectre_v2/levioso": ("6c7f0fa07aa86347", "6c7f0fa07aa86347"),
+    "spectre_v2/nda": ("12e034543657cf2b", "41fc3bf3b6f7540e"),
+    "spectre_v2/none": ("12e034543657cf2b", "41fc3bf3b6f7540e"),
+    "spectre_v2/stt": ("12e034543657cf2b", "41fc3bf3b6f7540e"),
+}
+
+
+def test_program_verdict_digests_are_pinned(monkeypatch):
+    """The proof lets ``program_verdict`` skip the second fill; verdicts
+    and digests stay those of simulating both, and proven pairs cost
+    one simulation."""
+    import repro.uarch
+
+    runs = []
+
+    class CountingCore(repro.uarch.OooCore):
+        def run(self, *args, **kwargs):
+            runs.append(self.policy.name)
+            return super().run(*args, **kwargs)
+
+    monkeypatch.setattr(repro.uarch, "OooCore", CountingCore)
+    for case, pinned in sorted(PINNED_DIGESTS.items()):
+        name, policy = case.split("/")
+        verdict = program_verdict(_gadget_program(name), policy)
+        assert tuple(d[:16] for d in verdict.digests) == pinned, case
+        assert verdict.leaks == (pinned[0] != pinned[1]), case
+    # fence and levioso hold every gadget's transmit: each pair is proven.
+    assert runs.count("fence") == runs.count("levioso") == len(GADGETS)
+    assert runs.count("none") == 2 * len(GADGETS)
+
+
 def test_secret_filled_patches_only_secret_bytes():
     program = _gadget_program("spectre_v1")
     filled = secret_filled(program, 0x7F)

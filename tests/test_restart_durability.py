@@ -47,22 +47,24 @@ def _repro_env() -> dict:
 def _spawn_daemon(cache_dir: Path, log_path: Path) -> tuple:
     """Start ``repro serve --port 0`` and parse the bound URL from its
     startup line (written before the daemon accepts work)."""
-    log = open(log_path, "a")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--jobs", "1", "--cache-dir", str(cache_dir)],
-        stdout=subprocess.PIPE, stderr=log, text=True, env=_repro_env(),
-    )
-    assert proc.stdout is not None
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        log.write(line)
-        match = re.search(r"listening on (http://\S+)", line)
-        if match:
-            return proc, match.group(1)
+    # The daemon keeps its own copy of the log descriptor for stderr, so
+    # this handle is closed once the startup line is in.
+    with open(log_path, "a") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "1", "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE, stderr=log, text=True, env=_repro_env(),
+        )
+        assert proc.stdout is not None
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            line = proc.stdout.readline()
+            if not line:
+                break
+            log.write(line)
+            match = re.search(r"listening on (http://\S+)", line)
+            if match:
+                return proc, match.group(1)
     proc.kill()
     raise AssertionError(f"daemon never announced its port; see {log_path}")
 
@@ -103,6 +105,7 @@ def test_daemon_restart_serves_completed_keys_from_disk(tmp_path):
     finally:
         proc.kill()         # SIGKILL: no drain, no atexit, no flush
     assert proc.wait(timeout=30) == -signal.SIGKILL
+    proc.stdout.close()
     # Orphaned pool workers must notice their owner died and exit.
     try:
         deadline = time.monotonic() + 5.0
@@ -133,6 +136,7 @@ def test_daemon_restart_serves_completed_keys_from_disk(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
+        proc.stdout.close()
 
 
 # Two workloads x several policies -> two lockstep batches under
