@@ -106,7 +106,7 @@ def _run_fleet(n_workers: int, runs: list[dict],
 def test_cluster_load():
     serial = ExperimentRunner(scale="test")
     reference = {
-        (w, p): ResultCache.serialize(serial.run(w, p).slim())
+        (w, p): ResultCache.serialize(serial.run(w, p))
         for w, p in POINTS
     }
     runs = [{"workload": w, "policy": p} for w, p in POINTS]

@@ -53,11 +53,10 @@ _CALIBRATION_ITERS = 200_000
 
 #: Fast-path feature flags recorded with every entry.  Each is on unless
 #: its REPRO_NO_* kill switch is set, mirroring the runtime defaults in
-#: repro.uarch.core / repro.uarch.specialize / repro.harness.lockstep.
+#: repro.uarch.core / repro.uarch.specialize.
 _FEATURE_FLAGS = {
     "cycle_skip": "REPRO_NO_CYCLE_SKIP",
     "specialize": "REPRO_NO_SPECIALIZE",
-    "lockstep": "REPRO_NO_LOCKSTEP",
 }
 
 #: Flag set for history entries that predate feature recording: those

@@ -67,7 +67,7 @@ def _load_history() -> list[dict]:
 def test_service_load():
     serial = ExperimentRunner(scale="test")
     reference = {
-        (w, p): ResultCache.serialize(serial.run(w, p).slim())
+        (w, p): ResultCache.serialize(serial.run(w, p))
         for w, p in POINTS
     }
 

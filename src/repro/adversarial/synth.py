@@ -5,7 +5,7 @@ same shapes as the hand-written :mod:`repro.attacks` gadgets — with
 randomized register assignment, bounds, training lengths, secret
 placement (data-section padding), and benign decoy code (straight-line
 ALU blocks and never-taken branch diamonds).  A fixed variant schedule
-interleaves *intended-leaky* programs with *known-clean mutants* — the
+alternates *intended-leaky* programs with *known-clean mutants* — the
 scanner's false-positive bait:
 
 ====== ============ =====================================================

@@ -720,7 +720,7 @@ def _submit_and_report(args, client, runs) -> int:
         for job in ordered:
             request = job["request"]
             local = json_mod.loads(json_mod.dumps(ResultCache.serialize(
-                runner.run(request["workload"], request["policy"]).slim())))
+                runner.run(request["workload"], request["policy"]))))
             if job.get("result") != local:
                 mismatches += 1
                 print(f"MISMATCH {request['workload']}/{request['policy']}: "

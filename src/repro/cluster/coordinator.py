@@ -47,6 +47,7 @@ import time
 import traceback
 
 from ..harness.cache import ResultCache
+from ..harness.lockstep import simulate_batch
 from ..harness.resilience import (
     FAILED,
     LOST,
@@ -54,7 +55,6 @@ from ..harness.resilience import (
     RetryPolicy,
     WorkerPool,
     WorkItem,
-    simulate_point,
     supervise,
 )
 from ..service.frontend import (
@@ -302,7 +302,7 @@ class ClusterCoordinator(Frontend):
         try:
             # One charged attempt: a failed job spent the worker's retries.
             record = await supervise(self, RetryPolicy(max_attempts=1),
-                                     item, simulate_point)
+                                     item, simulate_batch)
         except asyncio.CancelledError:
             error = "cancelled at shutdown"
         except _JobFailed as exc:
@@ -318,9 +318,11 @@ class ClusterCoordinator(Frontend):
                       timeout: float | None = None) -> tuple[str, object]:
         """:meth:`WorkerPool.attempt` on the fleet, its args the flight.
 
-        Runs the flight on the node its key resolves to now, or on
-        :attr:`local` if none is routable.  A node that lets the flight
-        down loses the attempt; past :data:`MAX_FAILOVERS` reroutes, fails it.
+        Runs the flight on the node its key resolves to now, or, if none
+        is routable, ``fn`` on :attr:`local` over the flight's batch of one,
+        whose record for the flight's key is the result.  A node that lets
+        the flight down loses the attempt; past :data:`MAX_FAILOVERS`
+        reroutes, fails it.
         """
         for job in flight.jobs:
             job.state = RUNNING
@@ -330,7 +332,9 @@ class ClusterCoordinator(Frontend):
         if node is None:
             self.m_degraded.set(1)
             self.m_local.inc()
-            return await self.local.attempt(fn, flight.worker_args(), timeout)
+            verdict, value = await self.local.attempt(
+                fn, flight.worker_args(), timeout)
+            return verdict, value[flight.key] if verdict == OK else value
         flight.node_id = node.node_id
         flight.node_lost = asyncio.Event()
         try:

@@ -3,7 +3,6 @@
 from .cache import ResultCache, config_fingerprint, run_key, workload_fingerprint
 from .experiments import EXPERIMENTS, ExperimentResult
 from .parallel import (
-    GridPoint,
     ParallelRunner,
     default_jobs,
     plan_experiment_grid,
@@ -23,7 +22,7 @@ from .resilience import (
     chaos_smoke,
     execute_supervised,
 )
-from .runner import ExperimentRunner, RunRecord, geomean
+from .runner import ExperimentRunner, GridPoint, RunRecord, geomean
 from .tables import format_percent, format_series, format_table
 
 __all__ = [

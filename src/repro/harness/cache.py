@@ -13,11 +13,11 @@ re-running the benchmark suite, pays only for points that actually changed.
 Keys are content hashes — never ``id()``s, which the allocator reuses — so
 two equal configs constructed independently share one cache entry.
 
-Cached records are *slim*: the heavyweight :class:`SimResult` payload
-(backing memory, cache hierarchy objects, committed-PC trace) is dropped and
-only the measured counters (:class:`~repro.uarch.stats.CoreStats` plus the
-memory-system counter dict) are stored, which is what every experiment
-consumes.
+Records are *slim*: a :class:`RunRecord` never holds the heavyweight
+:class:`SimResult` payload (backing memory, cache hierarchy objects,
+committed-PC trace), only the measured counters
+(:class:`~repro.uarch.stats.CoreStats` plus the memory-system counter dict),
+which is what every experiment consumes.
 """
 
 from __future__ import annotations
@@ -187,15 +187,14 @@ class ResultCache:
     # ----------------------------------------------------------- serialization
     @staticmethod
     def serialize(record: "RunRecord") -> dict:
-        slim = record.slim()
         payload = {
-            f.name: getattr(slim, f.name)
-            for f in dataclasses.fields(slim)
-            if f.name not in ("result", "core_stats")
+            f.name: getattr(record, f.name)
+            for f in dataclasses.fields(record)
+            if f.name != "core_stats"
         }
         payload["core_stats"] = (
-            dataclasses.asdict(slim.core_stats)
-            if slim.core_stats is not None
+            dataclasses.asdict(record.core_stats)
+            if record.core_stats is not None
             else None
         )
         return payload

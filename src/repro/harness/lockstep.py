@@ -24,24 +24,28 @@ interleaving their cores in fixed-size cycle slices:
 A batch also runs each family of *fill twins* — observed points whose
 programs differ only in their secret fill — as one unit: the first fill
 simulates, and when its core proves the run fill-independent the others
-are copies of its record (:func:`simulate_batch`, DESIGN.md §15).
+are copies of its record (:func:`simulate_members`, DESIGN.md §15).
 
-Only the grid planner (``ParallelRunner.prefetch``) batches; the
-service runs every flight as one supervised point.  ``REPRO_NO_LOCKSTEP=1``
-turns the interleaving off: every point is its own worker task, except
-that a twin family stays one task whose members run one after another.
+Every harness simulation is a batch: :func:`simulate_members` is the one
+function that builds, runs, self-checks and records cores.  The grid
+planner (``ParallelRunner.prefetch``) packs points sharing a workload
+into batches of up to :data:`LOCKSTEP_MAX`; ``ExperimentRunner.run``, the
+service's flights and the cluster's local fallback each run a batch of
+one.
 """
 
 from __future__ import annotations
 
 import copy
-import os
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..uarch.config import CoreConfig
     from ..uarch.core import OooCore, SimResult
+    from ..workloads import Workload
+    from .runner import GridPoint
 
 #: Cycle quantum per core per round-robin turn.  Large enough that the
 #: per-slice Python overhead (one ``advance`` call) is noise, small
@@ -54,11 +58,6 @@ DEFAULT_SLICE = 4096
 LOCKSTEP_MAX = 8
 
 
-def lockstep_enabled() -> bool:
-    """Process-level default for lockstep batching."""
-    return os.environ.get("REPRO_NO_LOCKSTEP") != "1"
-
-
 def run_lockstep(
     entries: "list[tuple[str, OooCore, int]]",
     slice_cycles: int = DEFAULT_SLICE,
@@ -67,9 +66,7 @@ def run_lockstep(
 
     Each core is advanced in ``slice_cycles`` quanta until it halts (its
     result is collected) or raises.  Exceptions propagate immediately and
-    fail the batch; the cores are independent, so the members completed
-    before the failure are *not* wasted in the retry path only because
-    the supervisor re-runs the batch as singles (see the harness).
+    fail the batch; the supervisor retries the batch as a unit.
     """
     results: "dict[str, SimResult]" = {}
     active = list(entries)
@@ -96,7 +93,7 @@ def twin_key(workload, point, config) -> tuple | None:
     self-check, mitigation, policy, config and compiler-info switch.  A
     plain (unobserved) point has no twins: None.
     """
-    if not getattr(point, "observe", False):
+    if not point.observe:
         return None
     from ..workloads.build_cache import build_key
 
@@ -118,25 +115,18 @@ class BatchRecords(dict):
         self.copied = frozenset(copied)
 
 
-def _run_cores(cores: "dict[str, OooCore]", interleave: bool
-               ) -> "dict[str, SimResult]":
-    entries = [(key, core, core.config.max_cycles)
-               for key, core in cores.items()]
-    if interleave:
-        return run_lockstep(entries)
-    return {key: core.run(limit) for key, core, limit in entries}
+def simulate_members(
+    keys: "tuple[str, ...]",
+    points: "tuple[GridPoint, ...]",
+    workload: "Callable[[str], Workload]",
+    default_config: "CoreConfig | None" = None,
+) -> BatchRecords:
+    """Simulate and record ``points``, the one place harness runs happen.
 
-
-def simulate_batch(args: tuple) -> BatchRecords:
-    """Top-level pool-worker entrypoint for a batch of grid points.
-
-    ``args`` is ``(scale, points, default_config, keys[, interleave])`` —
-    the batched twin of :func:`repro.harness.resilience.simulate_point`,
-    returning a record for every member.  ``interleave`` (default True)
-    runs the members' cores in lockstep; False runs them one after the
-    other.  Behaviour per member is identical to the single-point path:
-    the worker-site fault hook fires per key, and every result is
-    self-checked before it is returned.  Any member failure raises and
+    ``keys`` are the points' run keys and ``workload(name)`` returns the
+    built workload of a point.  The worker-site fault hook fires per key,
+    then the members' cores run in lockstep, and every result is
+    self-checked before it is recorded.  Any member failure raises and
     fails the whole batch.
 
     Fill twins (:func:`twin_key`) simulate their first member only.  When
@@ -148,27 +138,20 @@ def simulate_batch(args: tuple) -> BatchRecords:
     from ..secure import make_policy
     from ..uarch.config import CoreConfig
     from ..uarch.core import OooCore
-    from ..workloads import build_workload
     from .runner import RunRecord
 
-    scale, points, default_config, keys, *rest = args
-    interleave = rest[0] if rest else True
     default_config = default_config or CoreConfig()
     for key in keys:
         maybe_fault("worker", key)
 
-    workloads: dict[str, object] = {}
     members = {}
     families: dict[tuple, list[str]] = {}  # twin key -> keys, first fill first
     leads = []
     for key, point in zip(keys, points):
-        workload = workloads.get(point.workload)
-        if workload is None:
-            workload = build_workload(point.workload, scale)
-            workloads[point.workload] = workload
+        built = workload(point.workload)
         cfg = point.config or default_config
-        members[key] = (point, workload, cfg)
-        tkey = twin_key(workload, point, cfg)
+        members[key] = (point, built, cfg)
+        tkey = twin_key(built, point, cfg)
         family = families.get(tkey) if tkey is not None else None
         if family is None:
             leads.append(key)
@@ -178,23 +161,23 @@ def simulate_batch(args: tuple) -> BatchRecords:
             family.append(key)
 
     def make_core(key: str) -> OooCore:
-        point, workload, cfg = members[key]
+        point, built, cfg = members[key]
         core = OooCore(
-            workload.assemble(),
+            built.assemble(),
             config=cfg,
             policy=make_policy(point.policy),
             use_compiler_info=point.use_compiler_info,
-            record_observations=getattr(point, "observe", False),
+            record_observations=point.observe,
         )
         core.point_label = key
         return core
 
     def check(key: str, result_regs: tuple) -> None:
-        point, workload, _ = members[key]
-        if not workload.validate(result_regs):
+        point, built, _ = members[key]
+        if not built.validate(result_regs):
             raise SimulationError(
                 f"{point.workload} under {point.policy}: self-check failed "
-                f"(a0={result_regs[10]:#x}, want {workload.check_value:#x})"
+                f"(a0={result_regs[10]:#x}, want {built.check_value:#x})"
             )
 
     records: dict[str, RunRecord] = {}
@@ -203,14 +186,16 @@ def simulate_batch(args: tuple) -> BatchRecords:
     def simulate(batch: list[str]) -> dict[str, OooCore]:
         """Run ``batch``'s cores and record them; returns the cores."""
         cores = {key: make_core(key) for key in batch}
-        for key, result in _run_cores(cores, interleave).items():
+        results = run_lockstep([(key, core, core.config.max_cycles)
+                                for key, core in cores.items()])
+        for key, result in results.items():
             check(key, result.regs)
-            point, workload, _ = members[key]
+            point, built, _ = members[key]
             regs[key] = result.regs
             records[key] = RunRecord.from_result(
                 point.workload, point.policy, result,
-                mitigation=getattr(workload, "mitigation", None),
-            ).slim()
+                mitigation=getattr(built, "mitigation", None),
+            )
         return cores
 
     cores = simulate(leads)
@@ -240,16 +225,21 @@ def simulate_batch(args: tuple) -> BatchRecords:
     return out
 
 
-def simulate_work(args: tuple):
-    """Dispatch a supervised work item to the right worker entrypoint.
+def simulate_batch(args: tuple) -> BatchRecords:
+    """Top-level pool-worker entrypoint (must be picklable).
 
-    Batch items carry four or five fields (``keys``, then
-    ``interleave``); single points carry the classic three.  Keeping one
-    picklable entrypoint lets the supervisor (and its retry/rebuild
-    machinery) stay shape-agnostic.
+    ``args`` is ``(scale, points, default_config, keys)``: the points
+    build their workloads at ``scale`` once per batch, then run through
+    :func:`simulate_members`.  Returns ``{key: record}`` for every member.
     """
-    if len(args) >= 4:
-        return simulate_batch(args)
-    from .resilience import simulate_point
+    from ..workloads import build_workload
 
-    return simulate_point(args)
+    scale, points, default_config, keys = args
+    built: dict[str, Workload] = {}
+
+    def workload(name: str) -> Workload:
+        if name not in built:
+            built[name] = build_workload(name, scale)
+        return built[name]
+
+    return simulate_members(keys, points, workload, default_config)

@@ -11,11 +11,13 @@ This module
    :class:`concurrent.futures.ProcessPoolExecutor`,
 
 after which the experiment modules run unchanged against a warm in-memory
-store — every ``runner.run(...)`` they issue is a hit.  Workers return slim
-:class:`RunRecord` objects (counters only, no :class:`SimResult` payload),
-and each worker self-checks its run's architectural result, so parallel
-execution is bit-identical to serial execution by construction; the test
-suite additionally asserts equal cycle counts for serial vs ``jobs=2``.
+store — every ``runner.run(...)`` they issue is a hit.  Every work item is a
+lockstep batch (:func:`~repro.harness.lockstep.simulate_batch`; a lone
+point is a batch of one), whose worker self-checks each run's architectural
+result and returns slim :class:`RunRecord` objects.  ``runner.run`` goes
+through the same per-batch function in-process, so parallel execution is
+bit-identical to serial execution by construction; the test suite
+additionally asserts equal cycle counts for serial vs ``jobs=2``.
 
 The worker count comes from ``--jobs N`` on the CLI or the ``REPRO_JOBS``
 environment variable (used by the benchmark suite under pytest);
@@ -27,13 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..errors import HarnessError
 from ..uarch import CoreConfig
 from .cache import ResultCache
-from .lockstep import LOCKSTEP_MAX, lockstep_enabled, simulate_work, twin_key
+from .lockstep import LOCKSTEP_MAX, simulate_batch, twin_key
 from .resilience import (
     ResilienceReport,
     RetryPolicy,
@@ -41,7 +42,7 @@ from .resilience import (
     execute_supervised,
     failed_run_record,
 )
-from .runner import ExperimentRunner, RunRecord
+from .runner import ExperimentRunner, GridPoint, RunRecord
 
 
 def default_jobs() -> int:
@@ -66,23 +67,10 @@ def default_jobs() -> int:
     return max(jobs, 1)
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """One simulation in an experiment grid (picklable)."""
-
-    workload: str
-    policy: str
-    use_compiler_info: bool = True
-    config: CoreConfig | None = None  # None -> the runner's default config
-    # Capture an observation-trace digest (differential leakage oracle).
-    # Mixed into the run key only when True, so plain grids are unchanged.
-    observe: bool = False
-
-
 class ParallelRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` that can prefetch a grid in parallel.
 
-    ``run()`` itself stays serial (experiments interleave runs with
+    ``run()`` itself stays serial (experiments mix runs with
     arithmetic); parallelism comes from :meth:`prefetch`, which fills the
     in-memory store so subsequent ``run()`` calls are hits.  Pass a shared
     ``store`` dict to pool results across runners with different default
@@ -114,9 +102,6 @@ class ParallelRunner(ExperimentRunner):
         self.retry_policy = retry_policy or RetryPolicy()
         self.keep_going = keep_going
         self.report = ResilienceReport()
-        #: Fill-twin records copied from a proven first fill instead of
-        #: simulated (DESIGN.md §15); ``simulations`` excludes them.
-        self.copies = 0
         #: key -> (workload, policy) of points that exhausted their budget.
         self.failed_points: dict[str, tuple[str, str]] = {}
 
@@ -149,35 +134,15 @@ class ParallelRunner(ExperimentRunner):
         if not todo:
             return 0
 
-        items, batch_members = self._plan_work(todo)
-
-        def on_success(item: WorkItem, record) -> None:
-            # simulate_batch returns {key: record} for every member.
-            records = (record if item.key in batch_members
-                       else {item.key: record})
-            copied = getattr(records, "copied", ())
-            for key, rec in records.items():
-                if key in copied:
-                    self.copies += 1
-                else:
-                    self.simulations += 1
-                self._cache[key] = rec
-                if self.cache is not None:
-                    self.cache.put(key, rec)
-
+        items, members = self._plan_work(todo)
         self.report = execute_supervised(
-            items, simulate_work, self.jobs, self.retry_policy, on_success,
+            items, simulate_batch, self.jobs, self.retry_policy,
+            lambda item, records: self._keep(records),
         )
         for outcome in self.report.failed:
-            members = batch_members.get(outcome.key)
-            if members is None:
-                failed = [(outcome.key, outcome.workload, outcome.policy)]
-            else:
-                # One member sank the whole batch: every member is unfetched,
-                # so all of them are reported as failed.
-                failed = [(k, p.workload, p.policy) for k, p in members]
-            for key, workload, policy in failed:
-                self.failed_points[key] = (workload, policy)
+            # One member sinks the whole batch: every member is unfetched.
+            for key, point in members[outcome.key]:
+                self.failed_points[key] = (point.workload, point.policy)
         if self.report.failed and not self.keep_going:
             names = ", ".join(
                 f"{o.workload}/{o.policy} ({o.status} after "
@@ -190,7 +155,7 @@ class ParallelRunner(ExperimentRunner):
                 f"render a partial table around them"
             )
         return sum(
-            len(batch_members.get(o.key, (o,)))
+            len(members[o.key])
             for o in self.report.outcomes
             if o.status in ("ok", "retried")
         )
@@ -198,41 +163,36 @@ class ParallelRunner(ExperimentRunner):
     def _plan_work(
         self, todo: list[tuple[str, GridPoint]]
     ) -> tuple[list[WorkItem], dict[str, list[tuple[str, GridPoint]]]]:
-        """Turn deduped grid points into supervised work items.
+        """Turn deduped grid points into lockstep batch work items.
 
         Observed points whose programs differ only in their secret fill
-        (:func:`~repro.harness.lockstep.twin_key`) form a *twin family*,
-        and a family is always one work item: its worker simulates the
-        first fill and copies the rest when the run is proven
-        fill-independent (DESIGN.md §15).  With lockstep enabled, units
-        (families and lone points) sharing a workload are chunked into
-        batches of up to :data:`LOCKSTEP_MAX` points that one worker runs
-        in lockstep (:mod:`repro.harness.lockstep`); a chunk never splits
-        a family.  Lone points outside a batch — and every lone point
-        under ``REPRO_NO_LOCKSTEP=1`` — use the classic one-point-per-task
-        path.  Returns the work items plus the batch-key -> members map
-        used to fan results back out.
+        (:func:`~repro.harness.lockstep.twin_key`) form a *twin family*:
+        its worker simulates the first fill and copies the rest when the
+        run is proven fill-independent (DESIGN.md §15).  Units (families
+        and lone points) sharing a workload are chunked into batches of up
+        to :data:`LOCKSTEP_MAX` points that one worker runs in lockstep
+        (:mod:`repro.harness.lockstep`); a chunk never splits a family.  A
+        batch of one point is keyed by its run key and labelled with its
+        own workload and policy.  Returns the work items plus the item-key
+        -> members map used to account for failures.
         """
         items: list[WorkItem] = []
-        batch_members: dict[str, list[tuple[str, GridPoint]]] = {}
-        interleave = lockstep_enabled()
+        members: dict[str, list[tuple[str, GridPoint]]] = {}
 
-        def emit(chunk: list[tuple[str, GridPoint]], label: str) -> None:
-            if len(chunk) == 1:
-                key, point = chunk[0]
-                items.append(WorkItem(
-                    key=key, args=(self.scale, point, self.config),
-                    workload=point.workload, policy=point.policy))
-                return
+        def emit(chunk: list[tuple[str, GridPoint]]) -> None:
             keys = tuple(k for k, _ in chunk)
-            bkey = "batch:" + hashlib.sha256(
-                "|".join(keys).encode()
-            ).hexdigest()[:16]
-            batch_members[bkey] = chunk
-            args = (self.scale, tuple(p for _, p in chunk), self.config, keys)
+            points = tuple(p for _, p in chunk)
+            if len(chunk) == 1:
+                key, policy = keys[0], points[0].policy
+            else:
+                key = "batch:" + hashlib.sha256(
+                    "|".join(keys).encode()
+                ).hexdigest()[:16]
+                policy = f"{len(chunk)}-point lockstep batch"
+            members[key] = chunk
             items.append(WorkItem(
-                key=bkey, args=args if interleave else args + (False,),
-                workload=chunk[0][1].workload, policy=label,
+                key=key, args=(self.scale, points, self.config, keys),
+                workload=points[0].workload, policy=policy,
             ))
 
         units: dict[tuple, list[tuple[str, GridPoint]]] = {}
@@ -240,11 +200,6 @@ class ParallelRunner(ExperimentRunner):
             tkey = twin_key(self.workload(point.workload), point,
                             point.config or self.config)
             units.setdefault(tkey or (key,), []).append((key, point))
-        if not interleave or len(todo) < 2:
-            for unit in units.values():
-                emit(unit, f"{unit[0][1].policy}, {len(unit)} fill twins")
-            return items, batch_members
-
         groups: dict[str, list[list[tuple[str, GridPoint]]]] = {}
         for unit in units.values():
             groups.setdefault(unit[0][1].workload, []).append(unit)
@@ -252,11 +207,11 @@ class ParallelRunner(ExperimentRunner):
             chunk: list[tuple[str, GridPoint]] = []
             for unit in group:
                 if chunk and len(chunk) + len(unit) > LOCKSTEP_MAX:
-                    emit(chunk, f"{len(chunk)}-point lockstep batch")
+                    emit(chunk)
                     chunk = []
                 chunk += unit
-            emit(chunk, f"{len(chunk)}-point lockstep batch")
-        return items, batch_members
+            emit(chunk)
+        return items, members
 
     def run(self, workload_name, policy_name, config=None,
             use_compiler_info=True, observe=False) -> RunRecord:

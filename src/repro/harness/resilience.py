@@ -151,34 +151,14 @@ class ResilienceReport:
 # ------------------------------------------------------------- work items
 @dataclasses.dataclass
 class WorkItem:
-    """One grid point queued for supervised execution."""
+    """One unit of supervised work: a grid batch or a service flight."""
 
     key: str
-    args: tuple            # picklable args for the worker function
+    args: tuple            # the worker function's argument
     workload: str = ""
     policy: str = ""
     attempts: int = 0
     started: float = 0.0   # monotonic start of the in-flight attempt
-
-
-def simulate_point(args: tuple) -> RunRecord:
-    """Top-level pool-worker entrypoint (must be picklable).
-
-    ``args`` is ``(scale, point, default_config)``; the runner consults
-    the active fault plan (site ``worker``) before simulating, so
-    injected crashes/hangs/kills surface exactly where real ones would.
-    """
-    from .runner import ExperimentRunner
-
-    scale, point, default_config = args
-    runner = ExperimentRunner(scale=scale, config=point.config or default_config)
-    record = runner.run(
-        point.workload,
-        point.policy,
-        use_compiler_info=point.use_compiler_info,
-        observe=getattr(point, "observe", False),
-    )
-    return record.slim()
 
 
 # ------------------------------------------------------------------- pools
@@ -502,7 +482,7 @@ def failed_run_record(workload: str, policy: str) -> RunRecord:
         workload=workload, policy=policy, cycles=nan, committed=nan,
         ipc=nan, loads_gated=nan, load_gate_cycles=nan, mean_gate_delay=nan,
         gated_loads_pki=nan, mpki=nan, core_stats=stats,
-        mem_stats=NanCounters(), result=None,
+        mem_stats=NanCounters(),
     )
 
 

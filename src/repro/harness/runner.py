@@ -16,15 +16,26 @@ in-memory results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from ..errors import AnalysisError, SimulationError
-from ..faults import maybe_fault
-from ..secure import make_policy
-from ..uarch import CoreConfig, OooCore, SimResult
+from ..uarch import CoreConfig, SimResult
 from ..uarch.stats import CoreStats
 from ..workloads import Workload, build_suite
 from .cache import ResultCache, config_fingerprint, run_key, workload_fingerprint
+from .lockstep import BatchRecords, simulate_members
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    """One simulation in an experiment grid (picklable)."""
+
+    workload: str
+    policy: str
+    use_compiler_info: bool = True
+    config: CoreConfig | None = None  # None -> the runner's default config
+    # Capture an observation-trace digest (differential leakage oracle).
+    # Mixed into the run key only when True, so plain grids are unchanged.
+    observe: bool = False
 
 
 @dataclass
@@ -32,10 +43,8 @@ class RunRecord:
     """One measured simulation.
 
     ``core_stats``/``mem_stats`` carry every counter the experiments
-    consume and survive caching and pickling; ``result`` additionally holds
-    the full :class:`SimResult` (registers, memory hierarchy objects) for
-    in-process callers, but is ``None`` on records that crossed a process
-    or cache boundary — call sites must not rely on it.
+    consume; the record is small, picklable and exactly what the
+    persistent cache stores.
     """
 
     workload: str
@@ -51,14 +60,13 @@ class RunRecord:
     core_stats: CoreStats | None = field(repr=False, default=None)
     mem_stats: dict | None = field(repr=False, default=None)
     # Observation-trace digest of an observed run (the leakage oracle's
-    # unit of comparison); None on plain runs.  Slim and JSON-serializable,
-    # so it survives the cache like every other counter.
+    # unit of comparison); None on plain runs.  JSON-serializable, so it
+    # survives the cache like every other counter.
     obs_digest: str | None = None
     # Software-mitigation tag (``<pass>@v<version>``) applied to the
     # workload, or None for plain runs; recorded so cached results are
     # never conflated across mitigation-pass versions.
     mitigation: str | None = None
-    result: SimResult | None = field(repr=False, default=None)
 
     @classmethod
     def from_result(
@@ -87,19 +95,7 @@ class RunRecord:
                 observations.digest() if observations is not None else None
             ),
             mitigation=mitigation,
-            result=result,
         )
-
-    def slim(self) -> "RunRecord":
-        """Copy without the heavyweight ``result`` payload.
-
-        This is the form that enters the persistent cache and crosses
-        process boundaries; the counters every experiment reads
-        (``core_stats``/``mem_stats``) are retained.
-        """
-        if self.result is None:
-            return self
-        return replace(self, result=None)
 
 
 class ExperimentRunner:
@@ -107,18 +103,15 @@ class ExperimentRunner:
 
     def __init__(self, scale: str = "ref", config: CoreConfig | None = None,
                  verbose: bool = False, cache: ResultCache | None = None,
-                 store: dict[str, RunRecord] | None = None,
-                 crosscheck: bool = False):
+                 store: dict[str, RunRecord] | None = None):
         self.scale = scale
         self.config = config or CoreConfig()
         self.verbose = verbose
         self.cache = cache
-        # When set, every simulation records its pipeline and asserts, per
-        # retired instruction, that the tracked dynamic dependency set is
-        # covered by the static compiler metadata (soundness cross-check).
-        # Cached results are bypassed: the point is to observe a real run.
-        self.crosscheck = crosscheck
         self.simulations = 0  # actual OooCore runs (cache hits excluded)
+        #: Fill-twin records copied from a proven first fill instead of
+        #: simulated (DESIGN.md §15); ``simulations`` excludes them.
+        self.copies = 0
         self._cache: dict[str, RunRecord] = store if store is not None else {}
         self._workloads: dict[str, Workload] = {}
         self._workload_fps: dict[str, str] = {}
@@ -166,62 +159,38 @@ class ExperimentRunner:
         key = self.run_key_for(
             workload_name, policy_name, cfg, use_compiler_info, observe
         )
-        if not self.crosscheck:
-            record = self._cache.get(key)
+        record = self._cache.get(key)
+        if record is not None and (not observe or record.obs_digest):
+            return record
+        if self.cache is not None:
+            record = self.cache.get(key)
+            # Defensive: an observed key must come back with a digest
+            # (a legacy/foreign entry without one is re-simulated).
             if record is not None and (not observe or record.obs_digest):
+                self._cache[key] = record
                 return record
-            if self.cache is not None:
-                record = self.cache.get(key)
-                # Defensive: an observed key must come back with a digest
-                # (a legacy/foreign entry without one is re-simulated).
-                if record is not None and (not observe or record.obs_digest):
-                    self._cache[key] = record
-                    return record
-        # Chaos hook: with a fault plan active, a worker-site fault
-        # (crash/hang/kill) fires here — exactly where a real one would.
-        maybe_fault("worker", key)
-        workload = self.workload(workload_name)
-        program = workload.assemble()
-        core = OooCore(
-            program,
-            config=cfg,
-            policy=make_policy(policy_name),
-            use_compiler_info=use_compiler_info,
-            record_pipeline=self.crosscheck,
-            record_observations=observe,
-        )
-        result = core.run()
-        self.simulations += 1
-        if self.crosscheck:
-            from ..analysis import crosscheck_retired
-
-            check = crosscheck_retired(program, core.retired)
-            if not check.ok:
-                first = check.violations[0]
-                raise AnalysisError(
-                    f"{workload_name} under {policy_name}: dynamic dependency "
-                    f"escaped static metadata — retired pc {first.inst_pc:#x} "
-                    f"depends on branch {first.branch_pc:#x} which does not "
-                    f"list it ({len(check.violations)} violation(s))"
-                )
-        if not workload.validate(result.regs):
-            raise SimulationError(
-                f"{workload_name} under {policy_name}: self-check failed "
-                f"(a0={result.regs[10]:#x}, want {workload.check_value:#x})"
-            )
-        record = RunRecord.from_result(
-            workload_name, policy_name, result,
-            mitigation=getattr(workload, "mitigation", None),
-        )
+        point = GridPoint(workload_name, policy_name, use_compiler_info,
+                          cfg, observe)
+        records = simulate_members((key,), (point,), self.workload, cfg)
+        self._keep(records)
+        record = records[key]
         if self.verbose:
             print(
                 f"  {workload_name:10s} {policy_name:8s} "
                 f"{record.cycles:>9d} cycles  IPC {record.ipc:.2f}"
             )
-        self._cache[key] = record
-        if self.cache is not None:
-            self.cache.put(key, record)
         return record
+
+    def _keep(self, records: BatchRecords) -> None:
+        """Count and keep a batch's records, in memory and in ``cache``."""
+        for key, record in records.items():
+            if key in records.copied:
+                self.copies += 1
+            else:
+                self.simulations += 1
+            self._cache[key] = record
+            if self.cache is not None:
+                self.cache.put(key, record)
 
     def overhead(self, workload_name: str, policy_name: str, **kwargs) -> float:
         """Normalized execution-time overhead vs the unprotected core."""

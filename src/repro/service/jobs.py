@@ -26,8 +26,7 @@ import uuid
 from typing import Any
 
 from ..errors import ReproError
-from ..harness.parallel import GridPoint
-from ..harness.runner import ExperimentRunner, RunRecord
+from ..harness.runner import ExperimentRunner, GridPoint, RunRecord
 from ..secure import ALL_POLICY_NAMES
 from ..uarch import CoreConfig
 from ..workloads import WORKLOAD_NAMES
@@ -236,8 +235,10 @@ class Flight:
     attempts: int = 0
 
     def worker_args(self) -> tuple:
-        """Picklable args for :func:`repro.harness.resilience.simulate_point`."""
-        return (self.request.scale, self.request.grid_point(), None)
+        """Picklable args for :func:`repro.harness.lockstep.simulate_batch`:
+        a batch of one point under the flight's run key."""
+        return (self.request.scale, (self.request.grid_point(),), None,
+                (self.key,))
 
     def attach(self, job: "Job") -> None:
         self.jobs.append(job)

@@ -4,8 +4,9 @@ Flights are popped from the :class:`AdmissionQueue` as worker slots free
 up and run through the supervisor the batch harness uses:
 :func:`~repro.harness.resilience.supervise`, the one attempt loop, over a
 persistent :class:`~repro.harness.resilience.WorkerPool` that calls
-:func:`~repro.harness.resilience.simulate_point` (the batch harness's
-worker entrypoint, so a result computed through the service is
+:func:`~repro.harness.lockstep.simulate_batch` with a batch of one (the
+grid harness's worker entrypoint, and the function behind every
+in-process run, so a result computed through the service is
 bit-identical to a serial in-process run by construction).  DESIGN.md
 ("Supervision") states the failure taxonomy once: charged worker
 exceptions and hangs, uncharged pool deaths, degradation to one
@@ -21,13 +22,8 @@ import time
 import traceback
 from typing import Callable
 
-from ..harness.resilience import (
-    RetryPolicy,
-    WorkerPool,
-    WorkItem,
-    simulate_point,
-    supervise,
-)
+from ..harness.lockstep import simulate_batch
+from ..harness.resilience import RetryPolicy, WorkerPool, WorkItem, supervise
 from ..harness.runner import RunRecord
 from .jobs import RUNNING, Flight
 from .metrics import MetricsRegistry
@@ -161,14 +157,14 @@ class Scheduler:
                         workload=flight.request.workload,
                         policy=flight.request.policy)
         try:
-            record = await supervise(self.pool, self.retry_policy, item,
-                                     simulate_point)
+            records = await supervise(self.pool, self.retry_policy, item,
+                                      simulate_batch)
         finally:
             flight.attempts = item.attempts
             self.m_retries.inc(max(item.attempts - 1, 0))
         self.m_simulations.inc()
         self.m_sim_seconds.observe(time.monotonic() - item.started)
-        return record
+        return records[flight.key]
 
     def _pool_rebuilt(self) -> None:
         self.m_restarts.inc()

@@ -276,7 +276,7 @@ class OooCore:
 
         Returns True when the program halted, False when it paused at
         ``stop_cycle`` — the resumable slice the lockstep executor uses
-        to interleave cores.  With ``stop_cycle`` omitted this is exactly
+        to advance cores in turn.  With ``stop_cycle`` omitted this is exactly
         the classic run loop (the limit guard precedes the stop guard, so
         a stop at the limit still raises).  The event-horizon warp is
         bounded by ``limit``, not ``stop_cycle``: warping past a pause

@@ -20,7 +20,6 @@ keeps one image shareable across both arms of the compiler ablation.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
@@ -224,10 +223,7 @@ def decoded_image(program: "Program", config: "CoreConfig") -> DecodedProgram:
 
     Keyed by content, not identity: rebuilding the same workload for
     another grid point (or for each policy of a sweep) hits the cache.
-    ``REPRO_DECODE_CACHE=0`` disables sharing (always decodes fresh).
     """
-    if os.environ.get("REPRO_DECODE_CACHE") == "0":
-        return decode_program(program, config)
     # Attach the analysis before keying on it: a fresh program would key
     # on '' first and on the real digest from then on, decoding twice.
     ensure_analysis(program)

@@ -278,7 +278,7 @@ def specialized_image(
 
     Idempotent per image: the exec-compiled ops are attached to the
     (shared) :class:`DecodedInst` records exactly once; cache hits for a
-    *fresh* image object of the same content (``REPRO_DECODE_CACHE=0``)
+    *fresh* image object of the same content (:func:`decode_program`)
     re-attach by recompiling, which keeps plans content-addressed rather
     than identity-addressed.
     """

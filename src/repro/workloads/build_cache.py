@@ -148,11 +148,13 @@ class BuildCache:
             self.hits = self.misses = 0
 
     def info(self) -> dict[str, int]:
-        return {"programs": len(self._programs.items),
-                "max_programs": self._programs.bound,
-                "results": len(self._results.items),
-                "max_results": self._results.bound,
-                "hits": self.hits, "misses": self.misses}
+        # Under the lock: a put briefly holds one entry over the bound.
+        with self._lock:
+            return {"programs": len(self._programs.items),
+                    "max_programs": self._programs.bound,
+                    "results": len(self._results.items),
+                    "max_results": self._results.bound,
+                    "hits": self.hits, "misses": self.misses}
 
     # ------------------------------------------------------------ entries
     def _store(self, key: str, program: Program,

@@ -24,7 +24,7 @@ def _dwords(values: list[int]) -> str:
 
 
 def pointer_chase(nodes: int = 512, iters: int = 1500, seed: int = 11) -> Workload:
-    """mcf-like: three interleaved random pointer chases.
+    """mcf-like: three alternating random pointer chases.
 
     Three independent chains walk one shuffled permutation from different
     start points, giving the memory-level parallelism real pointer codes
@@ -95,7 +95,7 @@ pc_even:
     return Workload(
         name="pchase",
         source=source,
-        description="three interleaved pointer chases (MLP-sensitive)",
+        description="three alternating pointer chases (MLP-sensitive)",
         category="memory",
         check_reg=10,
         check_value=acc,

@@ -22,7 +22,6 @@ from repro.analysis import (
 from repro.attacks import ATTACKS
 from repro.compiler import ensure_analysis
 from repro.errors import AnalysisError
-from repro.harness import ExperimentRunner
 from repro.secure import make_policy
 from repro.uarch import OooCore
 from repro.workloads import WORKLOAD_NAMES, build_workload
@@ -143,11 +142,14 @@ def test_crosscheck_detects_tampered_metadata():
     assert report.violations
 
 
-def test_runner_crosscheck_option():
-    runner = ExperimentRunner(scale="test", crosscheck=True)
-    record = runner.run("bsearch", "levioso")
-    assert record.cycles > 0
-    assert runner.simulations == 1
+def test_run_with_crosscheck_passes_a_self_checked_run():
+    """bsearch under levioso (policy by name) passes the cross-check, and
+    the cross-checked run still passes the workload's self-check."""
+    workload = build_workload("bsearch", scale="test")
+    result, report = run_with_crosscheck(workload.assemble(), policy="levioso")
+    assert report.ok and report.dependences_checked > 0
+    assert result.stats.cycles > 0
+    assert workload.validate(result.regs)
 
 
 def test_run_with_crosscheck_raises_on_violation():

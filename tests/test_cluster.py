@@ -220,7 +220,7 @@ def expected():
     runner = ExperimentRunner(scale="test")
     return {
         (r["workload"], r["policy"]): ResultCache.serialize(
-            runner.run(r["workload"], r["policy"]).slim())
+            runner.run(r["workload"], r["policy"]))
         for r in GRID
     }
 

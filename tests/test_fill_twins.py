@@ -4,8 +4,8 @@ A campaign grid holds each observed (program, policy) pair once per
 secret fill.  The planner makes each such family one work item, and the
 worker copies the first fill's record to the others when its run is
 proven fill-independent.  These tests simulate every twin anyway and
-require the copies to equal the real runs, over a corpus, all seven
-policies, and both planner modes.
+require the copies to equal the real runs, over a corpus and all seven
+policies.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _simulate(name: str, policy: str):
     core = OooCore(workload.assemble(), policy=make_policy(policy),
                    record_observations=True)
     result = core.run()
-    record = RunRecord.from_result(name, policy, result).slim()
+    record = RunRecord.from_result(name, policy, result)
     return core.fill_independent(workload.check_reg), record
 
 
@@ -62,12 +62,7 @@ def _reference(seed: int):
     return _REFERENCE[seed]
 
 
-@pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "serial"])
-def test_copied_twins_equal_real_simulations(monkeypatch, lockstep):
-    if lockstep:
-        monkeypatch.delenv("REPRO_NO_LOCKSTEP", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_LOCKSTEP", "1")
+def test_copied_twins_equal_real_simulations():
     reference = _reference(7)
     config = _config(7, ALL_POLICY_NAMES)
     runner = ParallelRunner(scale="test", jobs=1)
@@ -100,12 +95,7 @@ def test_unproven_pairs_are_the_leaking_pairs():
                 assert a == b, (item, policy)
 
 
-@pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "serial"])
-def test_planner_never_splits_a_family(monkeypatch, lockstep):
-    if lockstep:
-        monkeypatch.delenv("REPRO_NO_LOCKSTEP", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_LOCKSTEP", "1")
+def test_planner_never_splits_a_family():
     config = CampaignConfig.resolve(192, count=4, fills=FILLS)
     runner = ParallelRunner(scale="test", jobs=1)
     todo = [
@@ -115,14 +105,8 @@ def test_planner_never_splits_a_family(monkeypatch, lockstep):
     items, batch_members = runner._plan_work(todo)
     placed = {}
     for item in items:
-        members = batch_members.get(item.key, [(item.key, None)])
-        for key, _ in members:
+        for key, _ in batch_members[item.key]:
             placed[key] = item.key
-        if lockstep:
-            assert len(item.args) == 4
-        else:
-            assert item.args[4:] == (False,)
-            assert len(members) == len(FILLS)
     assert set(placed) == {key for key, _ in todo}
     for key, point in todo:
         for other, twin in todo:
@@ -130,20 +114,13 @@ def test_planner_never_splits_a_family(monkeypatch, lockstep):
                     and twin.workload.rsplit("/", 1)[0]
                     == point.workload.rsplit("/", 1)[0]):
                 assert placed[key] == placed[other]
-    # One item per program under lockstep (3 policies x 2 fills), one per
-    # family without it.
-    per_item = len(config.policies) * len(FILLS)
-    assert len(items) == len(todo) // (per_item if lockstep else len(FILLS))
+    # One item per program (3 policies x 2 fills).
+    assert len(items) == len(todo) // (len(config.policies) * len(FILLS))
 
 
-@pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "serial"])
-def test_worker_fault_fires_at_a_copied_twin(monkeypatch, tmp_path, lockstep):
+def test_worker_fault_fires_at_a_copied_twin(tmp_path):
     """The fault hook runs for every member key, copies included: a fault
     at the second fill's key fails its family's item, which recovers."""
-    if lockstep:
-        monkeypatch.delenv("REPRO_NO_LOCKSTEP", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_LOCKSTEP", "1")
     spec = synthesize_item(192, 5)  # clean under every policy: copied
     grid = [p for p in campaign_grid(_config(192, ("none",)))
             if p.workload.startswith(spec.name + "/")]

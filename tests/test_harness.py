@@ -1,7 +1,10 @@
 """Experiment harness: runner caching, formatting, experiment plumbing."""
 
+import dataclasses
+
 import pytest
 
+from repro.errors import SimulationError
 from repro.harness import ExperimentRunner, format_percent, format_table, geomean
 from repro.harness.experiments import EXPERIMENTS, table1
 
@@ -57,7 +60,11 @@ def test_runner_selfcheck_guards_results():
     record = runner.run("sort", "levioso")
     assert record.committed > 0
     workload = runner.workload("sort")
-    assert workload.validate(record.result.regs)
+    assert workload.check_reg is not None
+    runner._workloads["sort"] = dataclasses.replace(
+        workload, check_value=workload.check_value ^ 1)
+    with pytest.raises(SimulationError, match="self-check failed"):
+        runner.run("sort", "none")
 
 
 def test_run_record_fields():
@@ -65,5 +72,5 @@ def test_run_record_fields():
     record = runner.run("cipher", "ctt")
     assert record.workload == "cipher"
     assert record.policy == "ctt"
-    assert record.cycles == record.result.stats.cycles
+    assert record.cycles == record.core_stats.cycles
     assert record.ipc > 0

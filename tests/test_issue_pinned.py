@@ -181,7 +181,7 @@ arr: .dword 1, 2, 3, 4, 5, 6, 7, 8
 
 #: The fuzz gadget shape: ``cflush; fence; ld; b...`` bounds-check
 #: training loop with a probe load in the branch shadow, so the policy
-#: gate and the fence ordering interleave.
+#: gate and the fence ordering both apply.
 GADGET_SOURCE = """
 .data
 arr: .dword 0, 1, 2, 3, 4, 5, 6, 7

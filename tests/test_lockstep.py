@@ -1,12 +1,12 @@
 """Lockstep grid vectorization: never-diverge property + batch plumbing.
 
-A lockstep batch interleaves N independent cores in one process; the
-contract is that batching is *invisible* in the results — every member's
-record is bit-identical to running that point alone — for any batch size,
-composition, and slice quantum.  Also covers the planner's grouping, the
-``REPRO_NO_LOCKSTEP`` escape hatch, mid-batch timeout attribution, and
-batch-level fault recovery (the batched twin of the per-point recovery
-tests in ``test_resilience.py``).
+A lockstep batch advances N independent cores in turn in one process;
+the contract is that batching is *invisible* in the results — every
+member's record is bit-identical to running that point alone — for any
+batch size, composition, and slice quantum.  Also covers the planner's
+grouping (a lone point is a batch of one), mid-batch timeout attribution,
+and batch-level fault recovery (the batched twin of the per-point
+recovery tests in ``test_resilience.py``).
 """
 
 from __future__ import annotations
@@ -18,15 +18,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import SimulationTimeout
 from repro.faults import FaultPlan, FaultSpec, uninstall
-from repro.harness import GridPoint, ParallelRunner, RetryPolicy
-from repro.harness.lockstep import (
-    LOCKSTEP_MAX,
-    lockstep_enabled,
-    run_lockstep,
-    simulate_batch,
-    simulate_work,
+from repro.harness import (
+    ExperimentRunner,
+    GridPoint,
+    ParallelRunner,
+    ResultCache,
+    RetryPolicy,
+    RunRecord,
 )
-from repro.harness.resilience import simulate_point
+from repro.harness.lockstep import LOCKSTEP_MAX, run_lockstep, simulate_batch
 from repro.secure import make_policy
 from repro.uarch import CoreConfig, OooCore
 from repro.workloads import build_workload
@@ -51,9 +51,9 @@ _REF: dict = {}
 def _single(workload: str, policy: str):
     record = _REF.get((workload, policy))
     if record is None:
-        record = simulate_point(
-            ("test", GridPoint(workload, policy), None)
-        )
+        program = build_workload(workload, "test").assemble()
+        result = OooCore(program, policy=make_policy(policy)).run()
+        record = RunRecord.from_result(workload, policy, result)
         _REF[workload, policy] = record
     return record
 
@@ -120,16 +120,7 @@ def test_timeout_mid_batch_names_the_guilty_point():
     assert exc_info.value.limit == 300
 
 
-def test_simulate_work_dispatches_on_arity():
-    point = GridPoint("gather", "none")
-    single = simulate_work(("test", point, None))
-    batched = simulate_work(("test", (point,), None, ("k",)))
-    assert batched["k"] == single
-
-
-def test_planner_groups_by_workload_and_chunks(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_LOCKSTEP", raising=False)
-    assert lockstep_enabled()
+def test_planner_groups_by_workload_and_chunks():
     runner = ParallelRunner(scale="test", jobs=2)
     todo = [
         (f"k{i}:{w}/{p}", GridPoint(w, p))
@@ -145,42 +136,43 @@ def test_planner_groups_by_workload_and_chunks(monkeypatch):
         members = batch_members[item.key]
         assert keys == tuple(k for k, _ in members)
         assert all(p.workload == item.workload for _, p in members)
-    # Oversized groups are chunked at LOCKSTEP_MAX; the remainder of one
-    # becomes a classic single-point item.
+    # Oversized groups are chunked at LOCKSTEP_MAX; the remainder is a
+    # batch of one under its own key.
     big = [
         (f"b{i}", GridPoint("gather", "none"))
         for i in range(LOCKSTEP_MAX + 1)
     ]
     items, batch_members = runner._plan_work(big)
-    sizes = sorted(
-        len(batch_members.get(item.key, [None])) for item in items
-    )
+    sizes = sorted(len(batch_members[item.key]) for item in items)
     assert sizes == [1, LOCKSTEP_MAX]
+    assert items[-1].key == f"b{LOCKSTEP_MAX}"
 
 
-def test_env_override_disables_batching(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_LOCKSTEP", "1")
-    assert not lockstep_enabled()
+def test_lone_point_is_a_batch_of_one():
+    """A lone grid point is one work item under its run key, labelled with
+    its workload and policy, and its worker's record is byte-identical to
+    the in-process runner's."""
     runner = ParallelRunner(scale="test", jobs=2)
-    todo = [
-        (f"k:{w}/{p}", GridPoint(w, p))
-        for w in WORKLOADS
-        for p in POLICIES
-    ]
-    items, batch_members = runner._plan_work(todo)
-    assert not batch_members
-    assert len(items) == len(todo)
-    assert all(len(item.args) == 3 for item in items)
+    point = GridPoint("pchase", "fence")
+    key = runner.run_key_for(point.workload, point.policy)
+    (item,), members = runner._plan_work([(key, point)])
+    assert (item.key, item.workload, item.policy) == (key, "pchase", "fence")
+    assert item.args == ("test", (point,), runner.config, (key,))
+    assert members == {key: [(key, point)]}
+    records = simulate_batch(item.args)
+    assert set(records) == {key} and not records.copied
+    serial = ExperimentRunner(scale="test").run("pchase", "fence")
+    assert (ResultCache.serialize(records[key])
+            == ResultCache.serialize(serial))
 
 
-def test_prefetch_with_batching_matches_unbatched(monkeypatch):
+def test_prefetch_with_batching_matches_unbatched():
     points = [GridPoint(w, p) for w in WORKLOADS for p in POLICIES]
 
-    monkeypatch.setenv("REPRO_NO_LOCKSTEP", "1")
     plain = ParallelRunner(scale="test", jobs=2)
-    assert plain.prefetch(points) == len(points)
+    for point in points:  # one batch of one per point
+        assert plain.prefetch([point]) == 1
 
-    monkeypatch.delenv("REPRO_NO_LOCKSTEP")
     batched = ParallelRunner(scale="test", jobs=2)
     assert batched.prefetch(points) == len(points)
 
@@ -192,10 +184,9 @@ def test_prefetch_with_batching_matches_unbatched(monkeypatch):
         assert a.mem_stats == b.mem_stats
 
 
-def test_batch_fault_recovery_bit_identical(monkeypatch, tmp_path):
+def test_batch_fault_recovery_bit_identical(tmp_path):
     """An injected worker fault fails the whole batch; the supervisor
     retries it as a unit and the recovered grid matches a clean run."""
-    monkeypatch.delenv("REPRO_NO_LOCKSTEP", raising=False)
     points = [GridPoint(w, p) for w in WORKLOADS for p in POLICIES]
     clean = ParallelRunner(scale="test", jobs=1)
     clean.prefetch(points)

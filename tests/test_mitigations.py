@@ -178,11 +178,11 @@ def test_run_record_carries_mitigation_through_cache(tmp_path):
     plain = runner.run("pchase", "none")
     assert plain.mitigation is None
     cache = ResultCache(tmp_path)
-    cache.put("k" * 16, record.slim())
+    cache.put("k" * 16, record)
     loaded = cache.get("k" * 16)
     assert loaded is not None and loaded.mitigation == record.mitigation
     # Legacy records without the field deserialize with the default.
-    payload = cache.serialize(plain.slim())
+    payload = cache.serialize(plain)
     payload.pop("mitigation", None)
     legacy = cache.deserialize(payload)
     assert legacy.mitigation is None

@@ -65,17 +65,18 @@ def _points():
     return [GridPoint(w, p) for w in WORKLOADS for p in POLICIES]
 
 
-def _clean_reference():
+def _clean_reference(points=None):
+    points = points or _points()
     runner = ParallelRunner(scale="test", jobs=1)
-    runner.prefetch(_points())
+    runner.prefetch(points)
     return {
         (p.workload, p.policy): runner.run(p.workload, p.policy)
-        for p in _points()
+        for p in points
     }
 
 
-def _assert_matches_reference(runner, reference):
-    for point in _points():
+def _assert_matches_reference(runner, reference, points=None):
+    for point in points or _points():
         got = runner.run(point.workload, point.policy)
         want = reference[(point.workload, point.policy)]
         assert (got.cycles, got.committed, got.loads_gated) == (
@@ -233,7 +234,7 @@ def test_cache_stale_salt_detected(tmp_path):
 def test_concurrent_put_same_key_no_tmp_collision(tmp_path):
     """Racing writers of one key must never corrupt the stored entry."""
     runner = ParallelRunner(scale="test", jobs=1)
-    record = runner.run("gather", "none").slim()
+    record = runner.run("gather", "none")
     key = runner.run_key_for("gather", "none")
 
     errors = []
@@ -288,7 +289,7 @@ def test_multiprocess_readers_writers_while_verify_runs(tmp_path):
     never a torn or missing one.
     """
     runner = ParallelRunner(scale="test", jobs=1)
-    record = runner.run("gather", "none").slim()
+    record = runner.run("gather", "none")
     key = runner.run_key_for("gather", "none")
     cache = ResultCache(tmp_path)
     cache.put(key, record)
@@ -383,12 +384,14 @@ def test_pool_broken_at_submit_is_a_pool_death(monkeypatch):
     assert report.pool_rebuilds >= 1
 
 
-def test_worker_crashes_recover_and_match_serial(tmp_path, monkeypatch):
-    # Pin the single-point dispatch path: this test counts one recovered
-    # outcome per injected crash, which lockstep batching coalesces
-    # (batch-level fault recovery is covered in test_lockstep.py).
-    monkeypatch.setenv("REPRO_NO_LOCKSTEP", "1")
-    reference = _clean_reference()
+def test_worker_crashes_recover_and_match_serial(tmp_path):
+    # One workload per point makes every point a batch of one: this test
+    # counts one recovered outcome per injected crash, which a multi-point
+    # batch would coalesce (batch-level recovery is in test_lockstep.py).
+    points = [GridPoint(w, p) for w, p in (
+        ("gather", "none"), ("pchase", "levioso"),
+        ("bsearch", "none"), ("branchy", "levioso"))]
+    reference = _clean_reference(points)
     FaultPlan(
         [FaultSpec("worker", "exception", times=3)],
         seed=1, state_dir=tmp_path,
@@ -397,14 +400,15 @@ def test_worker_crashes_recover_and_match_serial(tmp_path, monkeypatch):
         scale="test", jobs=2,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
     )
-    ran = runner.prefetch(_points())
-    assert ran == len(_points())
+    ran = runner.prefetch(points)
+    assert ran == len(points)
     report = runner.report
     assert report.ok
+    assert len(report.outcomes) == len(points)
     assert len(report.recovered) == 3  # every injected crash was retried
     assert all(o.attempts >= 2 for o in report.recovered)
     uninstall()
-    _assert_matches_reference(runner, reference)
+    _assert_matches_reference(runner, reference, points)
 
 
 def test_worker_kill_breaks_pool_then_recovers(tmp_path):

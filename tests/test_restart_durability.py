@@ -139,8 +139,8 @@ def test_daemon_restart_serves_completed_keys_from_disk(tmp_path):
         proc.stdout.close()
 
 
-# Two workloads x several policies -> two lockstep batches under
-# REPRO_NO_LOCKSTEP=0 (points sharing a workload share a program image).
+# Two workloads x several policies -> two lockstep batches (points
+# sharing a workload share a program image).
 # gather's batch finishes fast; bsearch's batch runs long enough that a
 # kill fired right after gather's cache entries land mid-batch.
 RESUME_GRID = [
@@ -164,13 +164,10 @@ print("GRID DONE", flush=True)
 """
 
 
-@pytest.mark.skipif(os.environ.get("REPRO_NO_LOCKSTEP") == "1",
-                    reason="drill targets the lockstep batch path")
 def test_cached_rerun_after_kill_mid_lockstep_batch(tmp_path):
     cache_dir = tmp_path / "cache"
     env = _repro_env()
     env["DRILL_CACHE"] = str(cache_dir)
-    env.pop("REPRO_NO_LOCKSTEP", None)
 
     proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD_SCRIPT],
@@ -213,5 +210,5 @@ def test_cached_rerun_after_kill_mid_lockstep_batch(tmp_path):
 
     serial = ExperimentRunner(scale="test")
     for (w, p), key in keys.items():
-        assert ResultCache.serialize(resumed.run(w, p).slim()) \
-            == ResultCache.serialize(serial.run(w, p).slim())
+        assert ResultCache.serialize(resumed.run(w, p)) \
+            == ResultCache.serialize(serial.run(w, p))

@@ -275,7 +275,7 @@ def test_grid_bit_identical_with_coalescing_and_cache_hits(client):
     for job in finals.values():
         record = client.record_of(job)
         want = serial.run(job["request"]["workload"],
-                          job["request"]["policy"]).slim()
+                          job["request"]["policy"])
         got, expect = ResultCache.serialize(record), ResultCache.serialize(want)
         assert json.loads(json.dumps(got)) == json.loads(json.dumps(expect)), (
             f"{job['request']}: service record differs from serial run")
@@ -395,7 +395,7 @@ def test_drain_completes_accepted_jobs_and_rejects_new(tmp_path):
         again = client2.submit([{"workload": "gather", "policy": "none"}])
         assert again[0]["cached"] and again[0]["state"] == "done"
         record = client2.record_of(client2.status(again[0]["id"]))
-        serial = ExperimentRunner(scale="test").run("gather", "none").slim()
+        serial = ExperimentRunner(scale="test").run("gather", "none")
         assert ResultCache.serialize(record) == ResultCache.serialize(serial)
     finally:
         server2.stop()
@@ -508,7 +508,7 @@ def test_worker_exception_is_charged_to_its_own_flight(tmp_path):
     serial = ExperimentRunner(scale="test")
     for policy, final in by_policy.items():
         assert ResultCache.serialize(client.record_of(final)) == \
-            ResultCache.serialize(serial.run("gather", policy).slim())
+            ResultCache.serialize(serial.run("gather", policy))
 
 
 # ------------------------------------------------------- concurrent clients
@@ -536,5 +536,5 @@ def test_many_threads_submitting_same_point_coalesce(service):
     assert not errors
     assert len(results) == 6
     assert all(r == results[0] for r in results)
-    serial = ExperimentRunner(scale="test").run("automaton", "nda").slim()
+    serial = ExperimentRunner(scale="test").run("automaton", "nda")
     assert results[0] == ResultCache.serialize(serial)

@@ -21,7 +21,8 @@ from repro.errors import SimulationTimeout
 from repro.secure import ALL_POLICY_NAMES, make_policy
 from repro.testing import programs
 from repro.uarch import CoreConfig, OooCore
-from repro.uarch.decoded import decoded_image
+from repro.uarch import core as core_module
+from repro.uarch.decoded import decode_program, decoded_image
 from repro.uarch.specialize import spec_cache_info, specialized_image
 from repro.workloads import WORKLOAD_NAMES, build_workload
 
@@ -156,13 +157,17 @@ def test_plan_cache_hits_and_op_attachment():
 
 
 def test_fresh_image_reattaches_ops(monkeypatch):
-    """REPRO_DECODE_CACHE=0 builds identity-fresh images; specialization
-    must re-attach ops to each (plans stay content-addressed)."""
-    monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
+    """A core given an identity-fresh image (``decode_program``, past the
+    image cache) of already-specialized content must get the ops
+    re-attached to it (plans stay content-addressed)."""
     program = build_workload("gather", "test").assemble()
-    spec = OooCore(program, policy=make_policy("levioso"),
-                   specialize=True).run()
-    monkeypatch.delenv("REPRO_DECODE_CACHE")
+    shared = decoded_image(program, CoreConfig())
+    specialized_image(shared, CoreConfig(), make_policy("levioso"))
+    monkeypatch.setattr(core_module, "decoded_image", decode_program)
+    core = OooCore(program, policy=make_policy("levioso"), specialize=True)
+    assert core._decoded is not shared
+    spec = core.run()
+    monkeypatch.undo()
     ref = _reference(program, "levioso")
     assert spec.stats == ref.stats
     assert spec.regs == ref.regs
