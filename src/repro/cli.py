@@ -572,16 +572,6 @@ def cmd_cache(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    if getattr(args, "cluster", False):
-        from .cluster.chaos import cluster_chaos_smoke
-
-        ok = cluster_chaos_smoke(
-            seed=args.seed,
-            scale=args.scale,
-            workloads=tuple(args.workloads or ("gather", "pchase", "bsearch")),
-            policies=tuple(args.policies or ("none", "fence", "levioso")),
-        )
-        return 0 if ok else 1
     if args.service:
         from .service.chaos import service_chaos_smoke
 
@@ -620,32 +610,8 @@ def cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         use_cache=args.cache or args.cache_dir is not None,
         drain_timeout=args.drain_timeout,
-        register_url=args.register,
-        node_id=args.node_id,
-        advertise_url=args.advertise,
-        heartbeat_interval=args.heartbeat_interval,
     )
     return serve(config)
-
-
-def cmd_coordinate(args) -> int:
-    from .cluster.coordinator import CoordinatorConfig, coordinate
-
-    # Unset flags fall back to the config defaults (which read
-    # $REPRO_CLUSTER_NODES / $REPRO_HEARTBEAT_INTERVAL / $REPRO_NODE_TIMEOUT).
-    overrides = {
-        "host": args.host,
-        "port": args.port,
-        "max_flights": args.max_flights,
-        "drain_timeout": args.drain_timeout,
-    }
-    if args.nodes:
-        overrides["nodes"] = tuple(args.nodes)
-    if args.heartbeat_interval is not None:
-        overrides["heartbeat_interval"] = args.heartbeat_interval
-    if args.node_timeout is not None:
-        overrides["node_timeout"] = args.node_timeout
-    return coordinate(CoordinatorConfig(**overrides))
 
 
 def cmd_submit(args) -> int:
@@ -940,10 +906,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=int, default=0,
         help="fault-plan seed: it picks the keys a spec with probability "
-        "< 1 fires on.  Every spec of the built-in batch, --service and "
-        "--cluster plans fires with probability 1, so for them the seed "
-        "changes nothing; which point gets which fault is decided by "
-        "timing",
+        "< 1 fires on.  Every spec of the built-in batch and --service "
+        "plans fires with probability 1, so for them the seed changes "
+        "nothing; which point gets which fault is decided by timing",
     )
     p.add_argument("--scale", default="test", choices=("test", "ref"))
     p.add_argument("--jobs", type=int, default=2, metavar="N")
@@ -956,12 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive the drill through the HTTP service path (worker kill "
         "+ cache corruption while jobs are queued) instead of the batch "
         "harness",
-    )
-    p.add_argument(
-        "--cluster", action="store_true",
-        help="drive the drill through a real coordinator + worker fleet "
-        "(node SIGKILL + heartbeat partition mid-campaign) instead of "
-        "the batch harness",
     )
     p.set_defaults(func=cmd_chaos)
 
@@ -990,51 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECS",
                    help="grace period for in-flight jobs on SIGTERM "
                    "(default: 60)")
-    p.add_argument("--register", default=None, metavar="URL",
-                   help="join the cluster coordinated at URL (repro "
-                   "coordinate); the daemon registers and heartbeats "
-                   "until it drains")
-    p.add_argument("--node-id", default=None, metavar="ID",
-                   help="stable cluster node id (default: random)")
-    p.add_argument("--advertise", default=None, metavar="URL",
-                   help="URL the coordinator should reach this node at "
-                   "(default: http://HOST:PORT of the listener)")
-    p.add_argument("--heartbeat-interval", type=float, default=None,
-                   metavar="SECS",
-                   help="seconds between heartbeats (default: "
-                   "$REPRO_HEARTBEAT_INTERVAL or 1.0)")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "coordinate",
-        help="run the cluster coordinator: consistent-hash runs across "
-        "registered repro serve nodes with heartbeat failure detection, "
-        "automatic failover and cluster-wide coalescing",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8770,
-                   help="listen port (0 picks an ephemeral port)")
-    p.add_argument("--nodes", nargs="*", metavar="URL",
-                   help="static worker URLs to admit at startup (default: "
-                   "$REPRO_CLUSTER_NODES); dynamic nodes join via "
-                   "'repro serve --register'")
-    p.add_argument("--heartbeat-interval", type=float, default=None,
-                   metavar="SECS",
-                   help="expected node heartbeat cadence (default: "
-                   "$REPRO_HEARTBEAT_INTERVAL or 1.0)")
-    p.add_argument("--node-timeout", type=float, default=None,
-                   metavar="SECS",
-                   help="silence after which a node is declared dead and "
-                   "its flights fail over (default: $REPRO_NODE_TIMEOUT "
-                   "or 5.0)")
-    p.add_argument("--max-flights", type=int, default=256, metavar="N",
-                   help="max unresolved cluster flights before 429s "
-                   "(default: 256)")
-    p.add_argument("--drain-timeout", type=float, default=60.0,
-                   metavar="SECS",
-                   help="grace period for in-flight work on SIGTERM "
-                   "(default: 60)")
-    p.set_defaults(func=cmd_coordinate)
 
     p = sub.add_parser(
         "submit",

@@ -3,7 +3,7 @@
 Four source-level program transforms, each certified two ways (see
 :mod:`.certify`) and exposed as first-class ``mit/<pass>/<workload>``
 grid-axis values so mitigated variants ride the run cache, the lockstep
-vectorizer, and the simulation fleet exactly like any other workload:
+vectorizer, and the simulation service exactly like any other workload:
 
 ========== ==========================================================
 ``fence``      fence at every speculation entry point (blunt baseline)
@@ -124,7 +124,7 @@ def build_mitigated_workload(name: str, scale: str = "ref"):
     """Build a ``mit/<pass>/<base>`` workload: mitigate base, keep checks.
 
     The mitigated source round-trips through plain assembly text (the
-    ``.slhmask`` directive included), so any fleet worker can rebuild the
+    ``.slhmask`` directive included), so any pool worker can rebuild the
     exact image from the name alone — the mitigation axis needs no corpus
     file, same as ``fuzz/`` names.
     """

@@ -31,20 +31,6 @@ Fault kinds:
 ``kill``        ``SIGKILL`` the current process (breaks the worker pool)
 ``corrupt``     not raised: returned to the caller, which garbles the
                 bytes it was about to write (cache-store site only)
-``node_kill``   ``SIGKILL`` the current process at the ``node`` site — a
-                whole worker *daemon* dies mid-campaign (the cluster
-                coordinator must fail its in-flight jobs over)
-``heartbeat_loss``  not raised: returned to the caller — the daemon's
-                membership loop goes silent for ``hang_seconds``,
-                modelling a network partition (the node keeps running
-                but the coordinator declares it dead)
-
-The ``node`` site is consulted by a ``repro serve`` daemon once per new
-flight it admits, with the key ``"{node_id}/job{n}"``, and once per
-heartbeat, with the key ``"{node_id}/hb{seq}"``.  Keying on admitted
-work lets a drill target e.g. exactly the first simulation worker ``w1``
-accepts (``match="w1/job1"``) — inside the campaign however fast the
-simulator runs, where a heartbeat count is only a guess at wall time.
 """
 
 from __future__ import annotations
@@ -62,16 +48,15 @@ from pathlib import Path
 from .errors import HarnessError, InjectedFault
 
 #: Environment variable carrying the serialized active plan (workers
-#: inherit it from the coordinator through the process pool).
+#: inherit it from their parent through the process pool).
 FAULT_ENV = "REPRO_FAULTS"
 
-FAULT_KINDS = ("exception", "io_error", "hang", "kill", "corrupt",
-               "node_kill", "heartbeat_loss")
-FAULT_SITES = ("worker", "cache.get", "cache.put", "node")
+FAULT_KINDS = ("exception", "io_error", "hang", "kill", "corrupt")
+FAULT_SITES = ("worker", "cache.get", "cache.put")
 
 #: Kinds that are *returned* by :func:`maybe_fault` instead of executed:
-#: the caller owns the failure (garbling bytes, suppressing heartbeats).
-PASSIVE_KINDS = ("corrupt", "heartbeat_loss")
+#: the caller owns the failure (garbling bytes).
+PASSIVE_KINDS = ("corrupt",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,7 +168,7 @@ class FaultPlan:
         if spec.kind == "hang":
             time.sleep(spec.hang_seconds)
             return
-        if spec.kind in ("kill", "node_kill"):
+        if spec.kind == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
 
     # ----------------------------------------------------------- environment
@@ -239,10 +224,9 @@ def active_plan() -> FaultPlan | None:
 def maybe_fault(site: str, key: str) -> FaultSpec | None:
     """Consult the active plan at an injection site.
 
-    Active kinds (exception / io_error / hang / kill / node_kill) are
-    executed here; passive kinds (``corrupt``, ``heartbeat_loss``) are
-    returned so the caller — the cache store, the daemon's membership
-    loop — can own the failure itself.
+    Active kinds (exception / io_error / hang / kill) are executed here;
+    the passive kind ``corrupt`` is returned so the caller — the cache
+    store — can own the failure itself.
     """
     plan = active_plan()
     if plan is None:

@@ -29,9 +29,8 @@ are copies of its record (:func:`simulate_members`, DESIGN.md §15).
 Every harness simulation is a batch: :func:`simulate_members` is the one
 function that builds, runs, self-checks and records cores.  The grid
 planner (``ParallelRunner.prefetch``) packs points sharing a workload
-into batches of up to :data:`LOCKSTEP_MAX`; ``ExperimentRunner.run``, the
-service's flights and the cluster's local fallback each run a batch of
-one.
+into batches of up to :data:`LOCKSTEP_MAX`; ``ExperimentRunner.run`` and
+the service's flights each run a batch of one.
 """
 
 from __future__ import annotations

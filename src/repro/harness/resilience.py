@@ -14,8 +14,8 @@ service's scheduler.  Both run through this module:
 * :func:`execute_supervised` — the batch entry point: runs a grid on that
   loop with ``jobs`` slots, capturing each point's fate (with traceback
   text) into a structured :class:`RunOutcome` instead of letting the
-  first failure abort the grid; the service's ``Scheduler`` and the
-  cluster coordinator call the same loop per flight;
+  first failure abort the grid; the service's ``Scheduler`` calls the
+  same loop per flight;
 * :class:`ResilienceReport` — the aggregate surfaced through
   ``harness.report`` and the CLI;
 * :func:`chaos_smoke` — the seeded end-to-end check behind
@@ -215,9 +215,9 @@ class WorkerPool:
     in-process thread.  A pool of ``processes=0`` is in-process from the
     start and runs attempts inline in the caller's thread: its caller
     (the batch harness at ``jobs<=1``) has nothing else on its loop, and
-    an inline run costs no thread.  ``max_rebuilds=-1`` starts degraded.
-    No wall-clock timeout is enforceable in-process: there is no worker
-    to abandon, so a hung point simply runs long.
+    an inline run costs no thread.  No wall-clock timeout is enforceable
+    in-process: there is no worker to abandon, so a hung point simply
+    runs long.
     """
 
     def __init__(self, processes: int, max_rebuilds: int = 3,

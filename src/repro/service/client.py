@@ -141,7 +141,7 @@ class ServiceClient:
                 data.get("error", f"HTTP {status}"), status=status)
         return data
 
-    # ------------------------------------------------------------- frontend
+    # ------------------------------------------------------------ endpoints
     def healthz(self) -> dict:
         return self._json("GET", "/healthz")
 

@@ -4,38 +4,67 @@ A long-running process that turns the one-shot experiment harness into a
 serving layer: clients POST (workload, policy, config-override) requests
 and poll job ids, while the daemon keeps a warm worker pool, an
 in-memory result store and (optionally) the persistent
-:class:`~repro.harness.cache.ResultCache` across requests.  The client
-API — endpoints, admission and coalescing, drain — is the shared
-:class:`~repro.service.frontend.Frontend`; this module is its
-single-node executor: a bounded :class:`AdmissionQueue` drained by the
-supervised worker-pool :class:`Scheduler`.
+:class:`~repro.harness.cache.ResultCache` across requests::
 
-**Cluster membership**: with ``register_url`` set the daemon becomes a
-fleet worker — it registers with a :mod:`repro.cluster` coordinator,
-heartbeats on an interval, re-registers after a coordinator restart or
-a partition (a heartbeat answered 404 means "I don't know you"), and
-deregisters *before* draining so the coordinator stops routing to it.
-The daemon consults the fault plan at the ``node`` site once per new
-flight it admits (key ``"{node_id}/job{n}"``) and once per heartbeat
-(key ``"{node_id}/hb{seq}"``), which is how the cluster chaos drill
-kills a worker or partitions it mid-campaign.
+    POST /v1/runs        submit one request object or {"runs": [...]}
+                         -> 202 {"jobs": [{id, state, coalesced, cached}]}
+                         -> 400 malformed, 413 batch too large
+                         -> 429 + Retry-After when admission is full
+                         -> 503 while draining
+    GET  /v1/runs        job table summary
+    GET  /v1/runs/{id}   job status, with the serialized RunRecord once done
+    GET  /healthz        liveness + queue and worker gauges
+    GET  /metrics        Prometheus text format
+
+**Admission** keys each request by its run-cache content key and plans
+the whole batch before committing any of it (all-or-nothing).  A key
+with a stored result is answered at once (``cached``), a key with an
+open flight gets the job attached (``coalesced``), and only novel keys
+open a flight and take a slot in the bounded :class:`AdmissionQueue`.
+Simulations are pure functions of the key, so all three ways serve
+results bit-identical to a serial run.  Open flights live in one table,
+:attr:`SimulationService.flights`, until :meth:`SimulationService.resolve`
+settles their jobs; the supervised worker-pool :class:`Scheduler` drains
+the queue and calls ``resolve`` once per flight.  A drain stops
+admission and waits for that table to empty, bounded by
+``drain_timeout``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import signal
+import sys
+import threading
 import time
-import uuid
 
-from ..faults import maybe_fault
+from .. import __version__
 from ..harness.cache import ResultCache
 from ..harness.resilience import RetryPolicy
-from .frontend import Frontend, FrontendThread, default_heartbeat_interval
-from .jobs import Flight, Job
-from .metrics import record_cache_stats
+from ..harness.runner import RunRecord
+from .httpd import HttpError, JsonHttpServer, json_bytes
+from .jobs import (
+    DONE,
+    FAILED,
+    BadRequest,
+    BatchTooLarge,
+    Flight,
+    Job,
+    JobStore,
+    RunKeyer,
+    RunRequest,
+    parse_submission,
+)
+from .metrics import MetricsRegistry, record_cache_stats
 from .queue import AdmissionQueue, QueueFull
 from .scheduler import Scheduler
+
+#: Largest accepted batch; beyond this a client should chunk.
+MAX_BATCH = 1024
+
+#: Completed jobs kept addressable by id.
+HISTORY = 4096
 
 
 @dataclasses.dataclass
@@ -51,71 +80,167 @@ class ServiceConfig:
     cache_dir: str | None = None   # persistent ResultCache root
     use_cache: bool = False        # persist results across restarts
     drain_timeout: float = 60.0    # grace period on SIGTERM
-    # --- cluster membership (all optional; None = standalone daemon) ---
-    register_url: str | None = None   # coordinator base URL to join
-    node_id: str | None = None        # stable fleet identity (default: random)
-    advertise_url: str | None = None  # URL the coordinator reaches us at
-    heartbeat_interval: float | None = None  # default: $REPRO_HEARTBEAT_INTERVAL or 1s
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(max_attempts=max(self.retries + 1, 1),
                            timeout=self.timeout)
 
 
-class SimulationService(Frontend):
-    """The shared front end over a priority queue and a worker pool."""
+class SimulationService:
+    """Admission, the flight table, resolution, routes, metrics, drain."""
 
-    server_label = "repro-serve"
-    name = "repro serve"
-    noun = "service"
-    metric_prefix = "repro_service"
-    coalesced_family = (
-        "repro_service_jobs_coalesced_total",
-        "Jobs attached to an already queued/in-flight identical request.")
-    config_class = ServiceConfig
+    def __init__(self, config: ServiceConfig | None = None,
+                 metrics: MetricsRegistry | None = None):
+        self.config = config or ServiceConfig()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.http = JsonHttpServer(self.route, self.on_response)
+        self.keyer = RunKeyer()
+        self.store = JobStore(history=HISTORY)
+        self.results: dict[str, RunRecord] = {}
+        self.flights: dict[str, Flight] = {}   # key -> open flight
+        self.draining = False
+        #: The first drain's verdict, returned to every later caller.
+        self.drained: bool | None = None
+        self._stopped = asyncio.Event()
+        self._idle = asyncio.Event()            # set == no open flights
+        self._idle.set()
+        self.cache = (ResultCache(self.config.cache_dir)
+                      if self.config.use_cache or self.config.cache_dir
+                      else None)
 
-    def __init__(self, config: ServiceConfig | None = None, metrics=None):
-        super().__init__(config or ServiceConfig(), metrics)
+        m = self.metrics
+        self.m_requests = m.counter(
+            "repro_service_http_requests_total",
+            "HTTP requests served, by endpoint and status code.",
+            labelnames=("endpoint", "code"))
+        self.m_submitted = m.counter(
+            "repro_service_jobs_submitted_total",
+            "Jobs accepted (cached + coalesced + new flights).")
+        self.m_coalesced = m.counter(
+            "repro_service_jobs_coalesced_total",
+            "Jobs attached to an already queued/in-flight identical request.")
+        self.m_cache_hits = m.counter(
+            "repro_service_cache_hits_total",
+            "Jobs answered from the result store without opening a flight.")
+        self.m_rejected = m.counter(
+            "repro_service_jobs_rejected_total",
+            "Submissions rejected by admission control (HTTP 429).")
+        self.m_completed = m.counter(
+            "repro_service_jobs_completed_total",
+            "Jobs reaching a terminal state, by state.",
+            labelnames=("state",))
+        self.m_latency = m.histogram(
+            "repro_service_job_latency_seconds",
+            "Submit-to-resolve latency of completed jobs.")
+        m.gauge("repro_service_info", "Static daemon metadata.",
+                labelnames=("version",)).set(1, version=__version__)
+
         self.queue = AdmissionQueue(self.config.queue_depth)
-        if self.config.use_cache or self.config.cache_dir:
-            self.cache = ResultCache(self.config.cache_dir)
         self.scheduler = Scheduler(
             self.queue, self.metrics, self.resolve,
             jobs=self.config.jobs,
             retry_policy=self.config.retry_policy(),
         )
-        self.node_id = (self.config.node_id
-                        or f"node-{uuid.uuid4().hex[:8]}")
-        self.heartbeat_interval = (
-            self.config.heartbeat_interval
-            if self.config.heartbeat_interval is not None
-            else default_heartbeat_interval())
-        self.heartbeats_sent = 0
-        self._silent_until = 0.0     # monotonic end of an injected partition
-        self._membership_task: asyncio.Task | None = None
-        self._registered = False
-
-        self.m_queue_depth = self.metrics.gauge(
+        self.m_queue_depth = m.gauge(
             "repro_service_queue_depth", "Flights waiting in the job queue.")
-        self.metrics.gauge(
-            "repro_service_workers", "Configured worker processes.",
-        ).set(self.config.jobs)
+        m.gauge("repro_service_workers",
+                "Configured worker processes.").set(self.config.jobs)
 
-    # ----------------------------------------------------------------- seam
-    def check_room(self, new_flights: int) -> None:
-        if not self.queue.has_room_for(new_flights):
+    @property
+    def port(self) -> int | None:
+        """The bound port, once :meth:`start` has returned."""
+        return self.http.port
+
+    # ------------------------------------------------------------ lifecycle
+    async def start(self) -> None:
+        self.scheduler.start()
+        await self.http.bind(self.config.host, self.config.port)
+
+    async def drain_and_stop(self) -> bool:
+        """Stop admission, let open flights resolve, shut down.  True iff
+        every accepted job resolved inside the drain budget; a concurrent
+        or later caller waits for the first drain and gets its verdict."""
+        if self.draining:
+            await self._stopped.wait()
+            return bool(self.drained)
+        self.draining = True
+        await self.http.close_server()
+        try:
+            await asyncio.wait_for(self._idle.wait(),
+                                   self.config.drain_timeout)
+            drained = True
+        except asyncio.TimeoutError:
+            drained = False
+        await self.scheduler.stop(wait_workers=drained)
+        self.drained = drained
+        self._stopped.set()
+        return drained
+
+    # ------------------------------------------------------------ admission
+    def submit(self, requests: list[RunRequest]) -> list[Job]:
+        """Admit a batch (all-or-nothing); raises :class:`QueueFull`.
+
+        Runs synchronously on the event loop — no awaits — so the plan
+        (which keys are cached / coalescible / novel) cannot be
+        invalidated by a flight resolving mid-batch.
+        """
+        if self.draining:
+            raise HttpError(503, "service is draining")
+        plans: list[tuple[RunRequest, str, str]] = []  # (request, key, how)
+        novel: dict[str, None] = {}   # insertion-ordered unique new keys
+        for request in requests:
+            key = self.keyer.key_for(request)
+            if key in novel or key in self.flights:
+                how = "coalesce"
+            elif self._stored(key):
+                how = "cached"
+            else:
+                how = "new"
+                novel[key] = None
+            plans.append((request, key, how))
+        if not self.queue.has_room_for(len(novel)):
+            self.m_rejected.inc(len(requests))
             raise QueueFull(self.queue.depth, self._retry_after())
 
-    def launch(self, flight: Flight) -> None:
-        self.queue.push(flight)
-        self._node_fault(f"job{self.queue.admitted}")
-        self.scheduler.notify()
+        jobs: list[Job] = []
+        for request, key, how in plans:
+            job = Job(request=request, key=key)
+            self.store.add(job)
+            self.m_submitted.inc()
+            if how == "cached":
+                job.cached = True
+                job.state = DONE
+                job.record = self.results[key]
+                job.finished = job.created
+                self.m_cache_hits.inc()
+            elif key in self.flights:
+                job.coalesced = True
+                flight = self.flights[key]
+                before = flight.priority
+                flight.attach(job)
+                if flight.priority < before:
+                    self.queue.reprioritize(flight)
+                self.m_coalesced.inc()
+            else:
+                flight = Flight(key=key, request=request,
+                                priority=request.priority)
+                flight.attach(job)
+                self.flights[key] = flight
+                self._idle.clear()
+                self.queue.push(flight)
+                self.scheduler.notify()
+            jobs.append(job)
+        return jobs
 
-    def coalesce(self, flight: Flight, job: Job) -> None:
-        before = flight.priority
-        flight.attach(job)
-        if flight.priority < before:
-            self.queue.reprioritize(flight)
+    def _stored(self, key: str) -> bool:
+        """Whether ``key`` has a result, warming it from the cache tier."""
+        if key in self.results:
+            return True
+        record = self.cache.get(key) if self.cache is not None else None
+        if record is None:
+            return False
+        self.results[key] = record
+        return True
 
     def _retry_after(self) -> float:
         """Backpressure hint: median sim time x queue depth / workers."""
@@ -123,147 +248,222 @@ class SimulationService(Frontend):
         return max(1.0, round(
             per_sim * self.queue.depth / max(self.config.jobs, 1), 1))
 
-    def health(self) -> dict:
+    # ----------------------------------------------------------- resolution
+    def resolve(self, flight: Flight, record: RunRecord | None,
+                error: str = "") -> None:
+        """Close ``flight``: store its result, settle its jobs.
+
+        Jobs already terminal are left as they are.
+        """
+        self.flights.pop(flight.key, None)
+        if not self.flights:
+            self._idle.set()
+        finished = time.time()
+        if record is not None:
+            self.results[flight.key] = record
+            if self.cache is not None:
+                self.cache.put(flight.key, record)
+        for job in flight.jobs:
+            if job.state in (DONE, FAILED):
+                continue
+            job.attempts = flight.attempts
+            job.finished = finished
+            if record is not None:
+                job.state = DONE
+                job.record = record
+            else:
+                job.state = FAILED
+                job.error = error or "unknown failure"
+            self.m_completed.inc(state=job.state)
+            self.m_latency.observe(job.latency)
+
+    # ------------------------------------------------------------- endpoints
+    def _healthz(self) -> dict:
         return {
-            "node_id": self.node_id,
+            "status": "draining" if self.draining else "ok",
+            "version": __version__,
             "queue_depth": len(self.queue),
             "queue_capacity": self.queue.depth,
             "running": len(self.scheduler.inflight),
             "workers": self.config.jobs,
             "degraded": self.scheduler.pool.degraded,
+            "jobs_tracked": len(self.store),
+            "results_stored": len(self.results),
         }
 
-    async def render_metrics(self) -> str:
+    def _runs_index(self) -> dict:
+        jobs = self.store.jobs()
+        return {
+            "jobs": [j.describe(include_result=False) for j in jobs[-100:]],
+            "total": len(jobs),
+            "evicted": self.store.evicted,
+        }
+
+    def _metrics_text(self) -> str:
         self.m_queue_depth.set(len(self.queue))
         if self.cache is not None:
             record_cache_stats(self.cache.stats, self.metrics)
         return self.metrics.render()
 
-    def banner(self) -> list[str]:
-        lines = [f"listening on http://{self.config.host}:{self.port} "
-                 f"({self.config.jobs} worker(s), "
-                 f"queue depth {self.config.queue_depth})"]
-        if self.config.register_url:
-            lines.append(f"joining cluster at {self.config.register_url} "
-                         f"as {self.node_id} "
-                         f"(heartbeat {self.heartbeat_interval:g}s)")
-        return lines
+    def on_response(self, endpoint: str, status: int) -> None:
+        self.m_requests.inc(endpoint=endpoint, code=str(status))
 
-    # ------------------------------------------------------------ lifecycle
-    async def start(self) -> None:
-        self.scheduler.start()
-        await super().start()
-        if self.config.register_url:
-            self._membership_task = asyncio.get_running_loop().create_task(
-                self._membership_loop())
-
-    async def before_drain(self) -> None:
-        await self._leave_cluster()
-
-    async def stop_executor(self, drained: bool) -> None:
-        await self.scheduler.stop(wait_workers=drained)
-
-    # ----------------------------------------------------------- membership
-    def _node_fault(self, event: str) -> None:
-        """Consult the fault plan at the ``node`` site for ``event``.
-
-        ``node_kill`` SIGKILLs this process inside
-        :func:`repro.faults.maybe_fault`; ``heartbeat_loss`` is passive,
-        so the membership loop goes silent for its ``hang_seconds``.
-        """
-        spec = maybe_fault("node", f"{self.node_id}/{event}")
-        if spec is not None and spec.kind == "heartbeat_loss":
-            self._silent_until = time.monotonic() + spec.hang_seconds
-
-    async def _leave_cluster(self) -> None:
-        """Drain-aware deregistration: tell the coordinator we're leaving
-        *before* the socket closes, so it stops routing to us instead of
-        declaring us dead and re-running our in-flight work."""
-        if self._membership_task is not None:
-            self._membership_task.cancel()
+    def route(self, method: str, path: str, body: bytes):
+        """Dispatch; returns (status, extra headers, body, endpoint label)."""
+        if path == "/healthz":
+            if method != "GET":
+                raise HttpError(405, "healthz is GET-only")
+            return 200, {}, json_bytes(self._healthz()), "/healthz"
+        if path == "/metrics":
+            if method != "GET":
+                raise HttpError(405, "metrics is GET-only")
+            return 200, {
+                "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
+            }, self._metrics_text().encode(), "/metrics"
+        if path == "/v1/runs":
+            if method == "GET":
+                return 200, {}, json_bytes(self._runs_index()), "/v1/runs"
+            if method != "POST":
+                raise HttpError(405, "use POST to submit, GET to list")
             try:
-                await self._membership_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._membership_task = None
-        if not self._registered:
-            return
-        from ..cluster.transport import request_json
-
-        base = self.config.register_url.rstrip("/")
-        try:
-            await request_json(
-                "DELETE", f"{base}/v1/nodes/{self.node_id}", timeout=3.0)
-        except (OSError, asyncio.TimeoutError):
-            pass  # coordinator gone; its sweep will notice anyway
-        self._registered = False
-
-    async def _membership_loop(self) -> None:
-        """Register with the coordinator, then heartbeat forever.
-
-        Self-healing by design: a failed or 404'd heartbeat flips back to
-        the register step, so the worker survives coordinator restarts
-        and rejoins after a partition.  Each beat consults the fault plan
-        (key ``{node_id}/hb{seq}``); an injected partition, from a beat
-        or from an admitted flight, silences the loop until it ends.
-        """
-        from ..cluster.transport import request_json
-
-        base = self.config.register_url.rstrip("/")
-        advertise = (self.config.advertise_url
-                     or f"http://{self.config.host}:{self.port}")
-        interval = max(self.heartbeat_interval, 0.05)
-        while not self.draining:
-            self.heartbeats_sent += 1
-            self._node_fault(f"hb{self.heartbeats_sent}")
-            silence = self._silent_until - time.monotonic()
-            if silence > 0:
-                await asyncio.sleep(silence)
-                self._registered = False  # assume we were declared dead
-                continue
+                requests = parse_submission(body, max_batch=MAX_BATCH)
+            except BatchTooLarge as exc:
+                raise HttpError(413, str(exc)) from exc
+            except BadRequest as exc:
+                raise HttpError(400, str(exc)) from exc
             try:
-                if not self._registered:
-                    status, _, _ = await request_json(
-                        "POST", base + "/v1/nodes",
-                        {"id": self.node_id, "url": advertise},
-                        timeout=5.0)
-                    self._registered = status < 400
-                if self._registered:
-                    status, _, _ = await request_json(
-                        "POST", f"{base}/v1/nodes/{self.node_id}/heartbeat",
-                        {
-                            "queue_depth": len(self.queue),
-                            "running": len(self.scheduler.inflight),
-                            "draining": self.draining,
-                        },
-                        timeout=5.0)
-                    if status == 404:   # coordinator restarted: re-register
-                        self._registered = False
-                        continue
-            except (OSError, asyncio.TimeoutError):
-                pass  # coordinator unreachable; keep trying
-            await asyncio.sleep(interval)
+                jobs = self.submit(requests)
+            except QueueFull as exc:
+                raise HttpError(
+                    429, str(exc),
+                    headers={"Retry-After": str(int(exc.retry_after + 0.5))},
+                ) from exc
+            accepted = {
+                "jobs": [j.describe(include_result=False) for j in jobs],
+            }
+            return 202, {}, json_bytes(accepted), "/v1/runs"
+        if path.startswith("/v1/runs/"):
+            if method != "GET":
+                raise HttpError(405, "job status is GET-only")
+            job = self.store.get(path[len("/v1/runs/"):])
+            if job is None:
+                raise HttpError(404, "no such job (it may have aged out)")
+            return 200, {}, json_bytes(job.describe()), "/v1/runs/{id}"
+        raise HttpError(404, f"no route for {path}")
 
 
 def serve(config: ServiceConfig | None = None) -> int:
-    """Blocking entrypoint behind ``repro serve``; returns the exit code."""
-    return SimulationService.run(config or ServiceConfig())
+    """Blocking entrypoint behind ``repro serve``: serve until
+    SIGTERM/SIGINT, drain, and return the exit code (0 iff every
+    accepted job resolved inside the drain budget)."""
+    return asyncio.run(_serve_until_signal(config or ServiceConfig()))
 
 
-class ServiceThread(FrontendThread):
+async def _serve_until_signal(config: ServiceConfig) -> int:
+    service = SimulationService(config)
+    await service.start()
+    loop = asyncio.get_running_loop()
+    drain_task: list[asyncio.Task] = []
+
+    def request_drain(signame: str) -> None:
+        if not drain_task:
+            print(f"repro serve: {signame} received, draining "
+                  f"({len(service.flights)} open flight(s))...",
+                  file=sys.stderr, flush=True)
+            drain_task.append(loop.create_task(service.drain_and_stop()))
+
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(
+                sig, request_drain, signal.Signals(sig).name)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass
+
+    print(f"repro serve: listening on http://{config.host}:{service.port} "
+          f"({config.jobs} worker(s), queue depth {config.queue_depth})",
+          flush=True)
+    await service._stopped.wait()
+    drained = drain_task[0].result() if drain_task else True
+    print("repro serve: drained clean, bye" if drained
+          else "repro serve: drain timeout hit, some jobs unresolved",
+          file=sys.stderr, flush=True)
+    return 0 if drained else 1
+
+
+class ServiceThread:
     """A :class:`SimulationService` on a background thread + event loop.
 
-    Use ``base_url`` with :class:`~repro.service.client.ServiceClient`.
+    The in-process harness used by tests, load generators and chaos
+    drills: ``start()`` returns once the port is bound; ``stop()`` drains
+    and joins.  Use ``base_url`` with
+    :class:`~repro.service.client.ServiceClient`.
     """
 
-    daemon_class = SimulationService
+    def __init__(self, config: ServiceConfig | None = None):
+        self.config = config or ServiceConfig(port=0)
+        self.service: SimulationService | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
+        self._ready = threading.Event()
+        self.drained: bool | None = None
 
     @property
-    def service(self) -> SimulationService | None:
-        return self.daemon
+    def base_url(self) -> str:
+        assert self.service is not None and self.service.port is not None
+        return f"http://{self.config.host}:{self.service.port}"
+
+    def start(self) -> "ServiceThread":
+        def runner() -> None:
+            loop = asyncio.new_event_loop()
+            self._loop = loop
+            asyncio.set_event_loop(loop)
+
+            async def boot():
+                self.service = SimulationService(self.config)
+                await self.service.start()
+                self._ready.set()
+                await self.service._stopped.wait()
+
+            try:
+                loop.run_until_complete(boot())
+            finally:
+                loop.close()
+
+        self._thread = threading.Thread(target=runner, name="repro-serve",
+                                        daemon=True)
+        self._thread.start()
+        if not self._ready.wait(30.0):
+            raise RuntimeError("repro-serve failed to start within 30s")
+        return self
+
+    def call(self, fn, *args):
+        """Run ``fn(service, *args)`` on the daemon loop; returns its value."""
+        assert self._loop is not None
+
+        async def wrapper():
+            return fn(self.service, *args)
+
+        return asyncio.run_coroutine_threadsafe(
+            wrapper(), self._loop).result(30.0)
 
     def pause(self) -> None:
         self.call(lambda s: s.scheduler.pause())
 
     def resume(self) -> None:
         self.call(lambda s: s.scheduler.resume())
+
+    def stop(self, timeout: float = 60.0) -> bool:
+        """Drain + stop + join; True iff the drain completed cleanly."""
+        assert self._loop is not None and self._thread is not None
+        future = asyncio.run_coroutine_threadsafe(
+            self.service.drain_and_stop(), self._loop)
+        self.drained = future.result(timeout)
+        self._thread.join(timeout)
+        return bool(self.drained)
+
+    def __enter__(self) -> "ServiceThread":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None and self._thread.is_alive():
+            self.stop()

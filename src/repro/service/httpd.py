@@ -1,17 +1,20 @@
 """Stdlib asyncio HTTP/1.1 JSON server: the wire protocol only.
 
 One request per connection, ``Connection: close``, JSON bodies.  The
-routes live in :class:`repro.service.frontend.Frontend`; a route may
-return a ``(status, headers, body, endpoint_label)`` tuple or a
-coroutine resolving to one (a federated ``/metrics`` must await).
+routes live in :class:`repro.service.daemon.SimulationService`, which
+hands its dispatcher to :class:`JsonHttpServer`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from typing import Callable
 
 from .. import __version__
+
+#: What a route returns: (status, extra headers, body, endpoint label).
+Response = tuple[int, dict[str, str], bytes, str]
 
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
@@ -38,16 +41,18 @@ def json_bytes(payload) -> bytes:
 
 
 class JsonHttpServer:
-    """Minimal HTTP/1.1 front end over ``asyncio.start_server``.
+    """Minimal HTTP/1.1 listener over ``asyncio.start_server``.
 
-    Owns only the wire protocol; subclasses own dispatch (:meth:`route`)
-    and observability (:meth:`on_response`).
+    Owns only the wire protocol.  ``route(method, path, body)`` returns
+    ``(status, extra headers, body, endpoint label)`` or raises
+    :class:`HttpError`; ``on_response(endpoint, status)`` is called once
+    per response, errors included.
     """
 
-    #: ``Server:`` header token; subclasses override.
-    server_label = "repro"
-
-    def __init__(self) -> None:
+    def __init__(self, route: Callable[[str, str, bytes], Response],
+                 on_response: Callable[[str, int], None]) -> None:
+        self.route = route
+        self.on_response = on_response
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None   # bound port (after bind)
 
@@ -60,15 +65,6 @@ class JsonHttpServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-
-    # ------------------------------------------------------------- dispatch
-    def route(self, method: str, path: str, body: bytes):
-        """Return ``(status, extra headers, body, endpoint label)`` or a
-        coroutine resolving to that tuple; raise :class:`HttpError`."""
-        raise NotImplementedError
-
-    def on_response(self, endpoint: str, status: int) -> None:
-        """Observability hook: called once per response."""
 
     # ------------------------------------------------------------------ http
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -96,7 +92,7 @@ class JsonHttpServer:
             "Content-Type": "application/json; charset=utf-8",
             "Content-Length": str(len(payload)),
             "Connection": "close",
-            "Server": f"{self.server_label}/{__version__}",
+            "Server": f"repro-serve/{__version__}",
         }
         base.update(headers)
         head += [f"{k}: {v}" for k, v in base.items()]
@@ -108,8 +104,7 @@ class JsonHttpServer:
         except (ConnectionError, BrokenPipeError):
             pass
 
-    async def _handle_request(self, reader: asyncio.StreamReader
-                              ) -> tuple[int, dict[str, str], bytes, str]:
+    async def _handle_request(self, reader: asyncio.StreamReader) -> Response:
         request_line = await asyncio.wait_for(reader.readline(), 30.0)
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
@@ -128,7 +123,4 @@ class JsonHttpServer:
         body = (await asyncio.wait_for(reader.readexactly(length), 30.0)
                 if length else b"")
         path = target.split("?", 1)[0]
-        result = self.route(method.upper(), path, body)
-        if asyncio.iscoroutine(result):
-            result = await result
-        return result
+        return self.route(method.upper(), path, body)

@@ -49,7 +49,7 @@ class BatchTooLarge(BadRequest):
 
 
 #: Self-describing adversarial workload names (repro.adversarial.synth):
-#: the name alone rebuilds the program, so any node can simulate it.
+#: the name alone rebuilds the program, so any worker can simulate it.
 _FUZZ_NAME_RE = re.compile(
     r"^fuzz/s\d+/i\d+/f[0-9a-f]{2}(/repaired)?$")
 
@@ -176,8 +176,8 @@ class RunRequest:
 def parse_submission(body: bytes, max_batch: int = 1024) -> list[RunRequest]:
     """Decode a POST /v1/runs body into validated requests.
 
-    The one parser behind both ``repro serve`` and ``repro coordinate``
-    (:class:`repro.service.frontend.Frontend`).  Raises
+    The parser behind ``repro serve``'s ``POST /v1/runs``
+    (:class:`repro.service.daemon.SimulationService`).  Raises
     :class:`BadRequest` (HTTP 400 shape) or :class:`BatchTooLarge`
     (HTTP 413 shape).
     """

@@ -34,8 +34,8 @@ class Scheduler:
     """Drains the admission queue through the worker pool.
 
     A popped flight that succeeds or exhausts its retries is handed to
-    ``resolve(flight, record, error)`` — the front end's
-    :meth:`~repro.service.frontend.Frontend.resolve` — exactly once.
+    ``resolve(flight, record, error)`` — the daemon's
+    :meth:`~repro.service.daemon.SimulationService.resolve` — exactly once.
     """
 
     def __init__(

@@ -9,6 +9,7 @@ never drop an accepted job.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import urllib.request
@@ -25,7 +26,13 @@ from repro.service.client import (
     ServiceQueueFull,
     parse_metrics,
 )
-from repro.service.daemon import ServiceConfig, ServiceThread
+from repro.service.daemon import (
+    MAX_BATCH,
+    ServiceConfig,
+    ServiceThread,
+    SimulationService,
+)
+from repro.service.httpd import HttpError
 from repro.service.jobs import BadRequest, Flight, Job, JobStore, RunRequest
 from repro.service.metrics import (
     Gauge,
@@ -249,6 +256,11 @@ def test_submit_rejects_bad_requests(client):
     assert exc_info.value.status == 400
     status, _, _ = client._request("PUT", "/healthz", {"x": 1})
     assert status == 405
+    # One body over MAX_BATCH runs (ServiceClient.submit would chunk it).
+    too_many = [{"workload": "gather", "policy": "none"}] * (MAX_BATCH + 1)
+    with pytest.raises(ServiceError) as exc_info:
+        client._json("POST", "/v1/runs", {"runs": too_many})
+    assert exc_info.value.status == 413
 
 
 def test_unknown_job_is_404(client):
@@ -409,6 +421,29 @@ def test_stopped_service_rejects_new_submissions():
     # The listener is closed after drain; new submissions cannot land.
     with pytest.raises(ServiceError):
         client.submit([{"workload": "gather", "policy": "none"}])
+
+
+def test_concurrent_drains_share_a_timed_out_verdict():
+    """A drain that times out answers False to every caller, and a
+    submission routed while it runs is refused with 503."""
+
+    async def scenario():
+        service = SimulationService(ServiceConfig(
+            port=0, jobs=1, drain_timeout=0.2))
+        await service.start()
+        service.scheduler.pause()  # the one job can never resolve
+        service.submit([RunRequest(workload="gather", policy="none")])
+        drains = asyncio.gather(service.drain_and_stop(),
+                                service.drain_and_stop())
+        await asyncio.sleep(0)
+        body = json.dumps({"workload": "crc", "policy": "none"}).encode()
+        with pytest.raises(HttpError) as exc_info:
+            service.route("POST", "/v1/runs", body)
+        return await drains, exc_info.value
+
+    verdicts, refused = asyncio.run(scenario())
+    assert verdicts == [False, False]
+    assert (refused.status, refused.message) == (503, "service is draining")
 
 
 # ------------------------------------------------------------------- chaos
