@@ -1,21 +1,20 @@
-"""Lockstep grid vectorization: N grid points, one process, one image.
+"""Batch simulation: N grid points, one process, one image.
 
 The experiment grid re-runs the same workloads under many policies, so
 consecutive grid points repeat all per-run setup — workload build,
 assembly, decoded-image lookup, specialization-cache warmup, memory-image
 construction — that is identical across the policy axis.  This module
 runs a *batch* of points sharing one program in a single worker process,
-interleaving their cores in fixed-size cycle slices:
+one member after another:
 
 * setup amortizes: every core shares the same assembled program (from
   the per-process build cache, :mod:`repro.workloads.build_cache`) and
   the same content-addressed :class:`~repro.uarch.decoded.DecodedProgram`
   (and its attached specialized ops) from the process-level caches;
-* scheduling stays deterministic: cores are advanced round-robin in
-  batch order with a fixed ``slice_cycles`` quantum, and each core's
-  simulation is completely independent state-wise, so results are
-  bit-identical to running the points one at a time (the never-diverge
-  property in ``tests/test_lockstep.py``);
+* scheduling stays deterministic: members run to HALT in batch order,
+  and each core's simulation is completely independent state-wise, so
+  results are bit-identical to running the points one at a time (the
+  never-diverge property in ``tests/test_lockstep.py``);
 * failures stay attributable: each core carries its run key as
   ``point_label``, which :class:`~repro.errors.SimulationTimeout` copies
   into its ``point`` attribute, so a timeout inside an 8-point batch
@@ -46,11 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workloads import Workload
     from .runner import GridPoint
 
-#: Cycle quantum per core per round-robin turn.  Large enough that the
-#: per-slice Python overhead (one ``advance`` call) is noise, small
-#: enough that a hung member is detected within the batch timeout.
-DEFAULT_SLICE = 4096
-
 #: Upper bound on points per batch: keeps worst-case batch wall time (and
 #: the blast radius of one member's failure, which fails the whole batch)
 #: bounded, while capturing nearly all of the setup amortization.
@@ -59,28 +53,14 @@ LOCKSTEP_MAX = 8
 
 def run_lockstep(
     entries: "list[tuple[str, OooCore, int]]",
-    slice_cycles: int = DEFAULT_SLICE,
 ) -> "dict[str, SimResult]":
-    """Advance ``(label, core, limit)`` entries round-robin to completion.
+    """Run ``(label, core, limit)`` entries to HALT, one after another.
 
-    Each core is advanced in ``slice_cycles`` quanta until it halts (its
-    result is collected) or raises.  Exceptions propagate immediately and
-    fail the batch; the supervisor retries the batch as a unit.
+    The batch's member loop.  Renaming it waits for a change to the
+    benchmark, whose tracer patches it by name.  Exceptions propagate at
+    once and fail the batch; the supervisor retries the batch as a unit.
     """
-    results: "dict[str, SimResult]" = {}
-    active = list(entries)
-    while active:
-        still: list = []
-        for label, core, limit in active:
-            stop = core.cycle + slice_cycles
-            if stop > limit:
-                stop = limit
-            if core.advance(limit, stop):
-                results[label] = core._result()
-            else:
-                still.append((label, core, limit))
-        active = still
-    return results
+    return {label: core.run(limit) for label, core, limit in entries}
 
 
 def twin_key(workload, point, config) -> tuple | None:
@@ -124,7 +104,7 @@ def simulate_members(
 
     ``keys`` are the points' run keys and ``workload(name)`` returns the
     built workload of a point.  The worker-site fault hook fires per key,
-    then the members' cores run in lockstep, and every result is
+    then the members' cores run one after another, and every result is
     self-checked before it is recorded.  Any member failure raises and
     fails the whole batch.
 

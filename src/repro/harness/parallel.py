@@ -170,10 +170,10 @@ class ParallelRunner(ExperimentRunner):
         its worker simulates the first fill and copies the rest when the
         run is proven fill-independent (DESIGN.md §15).  Units (families
         and lone points) sharing a workload are chunked into batches of up
-        to :data:`LOCKSTEP_MAX` points that one worker runs in lockstep
-        (:mod:`repro.harness.lockstep`); a chunk never splits a family.  A
-        batch of one point is keyed by its run key and labelled with its
-        own workload and policy.  Returns the work items plus the item-key
+        to :data:`LOCKSTEP_MAX` points that one worker runs one after
+        another (:mod:`repro.harness.lockstep`); a chunk never splits a
+        family.  A batch of one point is keyed by its run key and labelled
+        with its own workload and policy.  Returns the work items plus the item-key
         -> members map used to account for failures.
         """
         items: list[WorkItem] = []

@@ -159,18 +159,22 @@ class SimulationService:
     async def drain_and_stop(self) -> bool:
         """Stop admission, let open flights resolve, shut down.  True iff
         every accepted job resolved inside the drain budget; a concurrent
-        or later caller waits for the first drain and gets its verdict."""
+        or later caller waits for the first drain and gets its verdict.
+
+        The listener stays open until the flights resolve or the budget
+        runs out, so clients can still poll their jobs and read
+        ``/healthz`` while new submissions get 503."""
         if self.draining:
             await self._stopped.wait()
             return bool(self.drained)
         self.draining = True
-        await self.http.close_server()
         try:
             await asyncio.wait_for(self._idle.wait(),
                                    self.config.drain_timeout)
             drained = True
         except asyncio.TimeoutError:
             drained = False
+        await self.http.close_server()
         await self.scheduler.stop(wait_workers=drained)
         self.drained = drained
         self._stopped.set()

@@ -271,20 +271,12 @@ class OooCore:
         self.advance(limit)
         return self._result()
 
-    def advance(self, limit: int, stop_cycle: int | None = None) -> bool:
-        """Advance until HALT, ``limit`` (raises), or ``stop_cycle``.
+    def advance(self, limit: int) -> bool:
+        """Advance until HALT (returns True) or ``limit`` (raises).
 
-        Returns True when the program halted, False when it paused at
-        ``stop_cycle`` — the resumable slice the lockstep executor uses
-        to advance cores in turn.  With ``stop_cycle`` omitted this is exactly
-        the classic run loop (the limit guard precedes the stop guard, so
-        a stop at the limit still raises).  The event-horizon warp is
-        bounded by ``limit``, not ``stop_cycle``: warping past a pause
-        point is harmless (quiet cycles are quiet in any interleaving)
-        and keeps the warp contract identical in both entry modes.
+        The run loop behind :meth:`run`.  The benchmark's tracer wraps
+        it and reads the True to record each halted core's warp counters.
         """
-        if stop_cycle is None:
-            stop_cycle = limit
         cycle_skip = self._cycle_skip
         while not self._done:
             cycle = self._cycle
@@ -299,8 +291,6 @@ class OooCore:
                     pc=self.fetch_pc,
                     point=self.point_label,
                 )
-            if cycle >= stop_cycle:
-                return False
             if cycle - self._last_commit_cycle > _WATCHDOG_CYCLES:
                 raise SimulationError(
                     f"no commit for {_WATCHDOG_CYCLES} cycles at cycle "

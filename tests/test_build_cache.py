@@ -241,6 +241,24 @@ def test_campaign_report_unchanged_without_sharing(monkeypatch):
     assert shared == fresh
 
 
+# ------------------------------------------------------------- work pin
+def test_campaign_work_counts_are_pinned():
+    """One fixed campaign's work, counted exactly: simulations, fill-twin
+    copies and builds.  Unlike wall time these do not move with host
+    noise, so a change that does more (or less) work shows here; such a
+    change updates the pin and says why, as with the digests."""
+    config = CampaignConfig.resolve(
+        192, count=16, policies=("none", "fence", "levioso"),
+        fills=(0x41, 0xC3), repair=True,
+    )
+    BUILD_CACHE.clear()
+    runner = ParallelRunner(scale="test", jobs=1)
+    report = run_campaign(config, runner)
+    assert report["gates"]["passed"]
+    assert (runner.simulations, runner.copies) == (72, 60)
+    assert BUILD_CACHE.info()["misses"] == 16
+
+
 # ------------------------------------------------------ decode once per text
 def test_one_decode_per_text_across_policies_and_fills(monkeypatch):
     decodes = _count_calls(monkeypatch, "decode_program", decoded)

@@ -73,12 +73,10 @@ def test_records_are_freed_when_they_leave_the_window(name):
     try:
         before = _live_dyninsts()
         peak = 0
-        halted = False
-        stop = 0
-        while not halted:
-            stop += 2_000
-            halted = core.advance(5_000_000, stop_cycle=stop)
-            peak = max(peak, _live_dyninsts() - before)
+        while not core._done:
+            core.step()
+            if core.cycle % 2_000 == 0:
+                peak = max(peak, _live_dyninsts() - before)
     finally:
         gc.enable()
     assert core.stats.committed + core.stats.squashed_insts > 20 * window

@@ -1,12 +1,13 @@
-"""Lockstep grid vectorization: never-diverge property + batch plumbing.
+"""Batch simulation: never-diverge property + batch plumbing.
 
-A lockstep batch advances N independent cores in turn in one process;
-the contract is that batching is *invisible* in the results — every
-member's record is bit-identical to running that point alone — for any
-batch size, composition, and slice quantum.  Also covers the planner's
-grouping (a lone point is a batch of one), mid-batch timeout attribution,
-and batch-level fault recovery (the batched twin of the per-point
-recovery tests in ``test_resilience.py``).
+A batch runs N independent cores one after another in one process,
+sharing the assembled program and its decoded image; the contract is
+that batching is *invisible* in the results — every member's record is
+bit-identical to running that point alone — for any batch size and
+composition.  Also covers the planner's grouping (a lone point is a
+batch of one), mid-batch timeout attribution, and batch-level fault
+recovery (the batched twin of the per-point recovery tests in
+``test_resilience.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.harness import (
     RetryPolicy,
     RunRecord,
 )
-from repro.harness.lockstep import LOCKSTEP_MAX, run_lockstep, simulate_batch
+from repro.harness.lockstep import LOCKSTEP_MAX, simulate_batch
 from repro.secure import make_policy
 from repro.uarch import CoreConfig, OooCore
 from repro.workloads import build_workload
@@ -73,7 +74,9 @@ def _single(workload: str, policy: str):
 def test_lockstep_never_diverges(composition):
     """Property: a batch of random size and composition (duplicates and
     mixed workloads included) returns records bit-identical to running
-    each member alone."""
+    each member alone, so no state the members share (the decoded image,
+    its specialized ops, the build cache) carries over from one member's
+    run into the next."""
     keys = tuple(
         f"m{i}:{w}/{p}" for i, (w, p) in enumerate(composition)
     )
@@ -84,29 +87,8 @@ def test_lockstep_never_diverges(composition):
         assert records[key] == _single(workload, policy), key
 
 
-@pytest.mark.parametrize(
-    "name,slice_cycles",
-    [pytest.param("gather", q, id=str(q)) for q in (7, 64, 130, 1021, 10**9)]
-    + [pytest.param("branchy", 7, id="branchy-7")],
-)
-def test_slice_quantum_is_invisible(name, slice_cycles):
-    """The round-robin quantum is pure scheduling: any slice size yields
-    the same stats/regs as an unsliced run.  The tiny odd quanta land
-    pause points mid fetch packet and, on the branch-dense kernel, inside
-    open control-dependence regions, so the resumable ``advance(limit,
-    stop_cycle)`` path must not observe either boundary."""
-    program = build_workload(name, "test").assemble()
-    direct = OooCore(program, policy=make_policy("levioso")).run()
-    core = OooCore(program, policy=make_policy("levioso"))
-    limit = CoreConfig().max_cycles
-    results = run_lockstep([("only", core, limit)], slice_cycles)
-    assert results["only"].stats == direct.stats
-    assert results["only"].regs == direct.regs
-    assert results["only"].stats_dict() == direct.stats_dict()
-
-
 def test_timeout_mid_batch_names_the_guilty_point():
-    """A member that hits its cycle limit mid-lockstep raises with the
+    """A member that hits its cycle limit mid-batch raises with the
     member's run key in ``SimulationTimeout.point``."""
     tiny = dataclasses.replace(CoreConfig(), max_cycles=300)
     keys = ("innocent", "guilty")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -421,6 +422,36 @@ def test_stopped_service_rejects_new_submissions():
     # The listener is closed after drain; new submissions cannot land.
     with pytest.raises(ServiceError):
         client.submit([{"workload": "gather", "policy": "none"}])
+
+
+def test_a_draining_service_still_answers_over_http():
+    """Until its flights resolve or the drain budget runs out, a draining
+    daemon keeps its listener: ``/healthz`` reads ``draining``, a new
+    submission gets 503, and a waiting client can still poll its job."""
+    server = ServiceThread(ServiceConfig(
+        port=0, jobs=1, drain_timeout=2)).start()
+    client = ServiceClient(server.base_url,
+                           retry_policy=RetryPolicy(max_attempts=1))
+    server.pause()  # the one job stays queued for the whole drain
+    (job,) = client.submit([{"workload": "gather", "policy": "none"}])
+    stopper = threading.Thread(target=server.stop)
+    stopper.start()  # drains; returns once the budget runs out
+    try:
+        deadline = time.monotonic() + 10
+        while not server.call(lambda s: s.draining):
+            assert time.monotonic() < deadline, "drain never started"
+        assert client.healthz()["status"] == "draining"
+        with pytest.raises(ServiceError) as exc_info:
+            client.submit([{"workload": "crc", "policy": "none"}])
+        assert exc_info.value.status == 503
+        status = client.status(job["id"])
+        assert (status["id"], status["state"]) == (job["id"], "queued")
+    finally:
+        stopper.join(30)
+    assert not stopper.is_alive()
+    assert server.drained is False  # the paused job never resolved
+    with pytest.raises(ServiceError):
+        client.healthz()
 
 
 def test_concurrent_drains_share_a_timed_out_verdict():
