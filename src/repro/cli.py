@@ -739,38 +739,23 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .profiling import (
-        compare_specialization,
-        profile_run,
-        render_compare,
-        render_profile,
-    )
+    from .profiling import profile_run, render_profile
 
     program = _resolve_program(args.target, scale=args.scale)
-    if args.compare:
-        report = compare_specialization(
-            program,
-            policy_name=args.policy,
-            max_cycles=args.limit,
-        )
-        render = render_compare
-    else:
-        report = profile_run(
-            program,
-            policy_name=args.policy,
-            sort=args.sort,
-            top=args.top,
-            max_cycles=args.limit,
-            cycle_skip=False if args.no_cycle_skip else None,
-            specialize=False if args.no_specialize else None,
-        )
-        render = render_profile
+    report = profile_run(
+        program,
+        policy_name=args.policy,
+        sort=args.sort,
+        top=args.top,
+        max_cycles=args.limit,
+        cycle_skip=False if args.no_cycle_skip else None,
+    )
     if args.json:
         import json
 
         print(json.dumps(report, indent=2))
     else:
-        print(render(report))
+        print(render_profile(report))
     return 0
 
 
@@ -1079,12 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cycle-skip", action="store_true",
                    help="profile the reference stepped loop instead of the "
                    "event-horizon fast path")
-    p.add_argument("--no-specialize", action="store_true",
-                   help="profile the interpreted execute path instead of "
-                   "the region-specialized one")
-    p.add_argument("--compare", action="store_true",
-                   help="run specialized vs interpreted back-to-back and "
-                   "print the per-stage delta table")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_profile)
 

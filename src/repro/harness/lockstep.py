@@ -2,15 +2,14 @@
 
 The experiment grid re-runs the same workloads under many policies, so
 consecutive grid points repeat all per-run setup — workload build,
-assembly, decoded-image lookup, specialization-cache warmup, memory-image
-construction — that is identical across the policy axis.  This module
-runs a *batch* of points sharing one program in a single worker process,
-one member after another:
+assembly, decoded-image lookup, memory-image construction — that is
+identical across the policy axis.  This module runs a *batch* of points
+sharing one program in a single worker process, one member after another:
 
 * setup amortizes: every core shares the same assembled program (from
   the per-process build cache, :mod:`repro.workloads.build_cache`) and
   the same content-addressed :class:`~repro.uarch.decoded.DecodedProgram`
-  (and its attached specialized ops) from the process-level caches;
+  from the process-level image cache;
 * scheduling stays deterministic: members run to HALT in batch order,
   and each core's simulation is completely independent state-wise, so
   results are bit-identical to running the points one at a time (the

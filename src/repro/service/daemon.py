@@ -457,12 +457,16 @@ class ServiceThread:
         self.call(lambda s: s.scheduler.resume())
 
     def stop(self, timeout: float = 60.0) -> bool:
-        """Drain + stop + join; True iff the drain completed cleanly."""
+        """Drain + stop + join; True iff the drain completed cleanly.
+
+        If the service already drained by another route, its loop is
+        gone: return that drain's recorded verdict instead."""
         assert self._loop is not None and self._thread is not None
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.drain_and_stop(), self._loop)
-        self.drained = future.result(timeout)
+        if self.service.drained is None and self._thread.is_alive():
+            asyncio.run_coroutine_threadsafe(
+                self.service.drain_and_stop(), self._loop).result(timeout)
         self._thread.join(timeout)
+        self.drained = self.service.drained
         return bool(self.drained)
 
     def __enter__(self) -> "ServiceThread":

@@ -55,7 +55,6 @@ from .decoded import (
     S_SERIALIZE,
     decoded_image,
 )
-from .specialize import specialize_enabled, specialized_image
 from .dyninst import EMPTY, Checkpoint, DynInst, Stage
 from .horizon import WATCHDOG_CYCLES as _WATCHDOG_CYCLES
 from .horizon import WarpStats, warp_to_horizon
@@ -110,7 +109,6 @@ class OooCore:
         record_observations: bool = False,
         use_compiler_info: bool = True,
         cycle_skip: bool | None = None,
-        specialize: bool | None = None,
     ):
         self.program = program
         self.config = config or CoreConfig()
@@ -140,32 +138,17 @@ class OooCore:
         if cycle_skip is None:
             cycle_skip = os.environ.get("REPRO_NO_CYCLE_SKIP") != "1"
         self._cycle_skip = cycle_skip
-        # Region specialization: per-PC execute/address/extend functions,
-        # exec-compiled once per (image, latency profile) and attached to
-        # the shared DecodedInst records (.specialize).  Bit-invisible by
-        # contract (REPRO_NO_SPECIALIZE=1 forces the interpreted path).
-        if specialize is None:
-            specialize = specialize_enabled()
-        self._specialize = specialize
-        # ``_execute`` holds the plain function (called with the core): a
-        # bound method stored on the core would be a reference cycle, and
-        # every finished core would then wait for a full garbage collection.
-        if specialize:
-            spec = specialized_image(self._decoded, self.config, self.policy)
-            self._execute = OooCore._execute_alu_spec
-            # The base policy's defers_wakeup is a constant False with no
-            # side effects; skip the per-load-completion virtual call
-            # unless the policy actually overrides it (NDA does).
-            self._defers_wakeup = (
-                None if spec.skip_defer_wakeup else self.policy.defers_wakeup
-            )
-        else:
-            self._execute = OooCore._execute_alu
-            self._defers_wakeup = self.policy.defers_wakeup
+        # The base policy's defers_wakeup is a constant False with no side
+        # effects; skip the per-load-completion call unless the policy
+        # overrides it (NDA does).
+        self._defers_wakeup = (
+            None
+            if type(self.policy).defers_wakeup is SpeculationPolicy.defers_wakeup
+            else self.policy.defers_wakeup
+        )
         # STT-style expiring taint roots are consulted only by policies
         # declaring uses_taint_roots; for the rest, root sets are provably
-        # unread and lineage finalization skips building them.  Derived
-        # from the policy alone, so both execution modes agree.
+        # unread and lineage finalization skips building them.
         self._track_roots = bool(self.policy.uses_taint_roots)
         # Grid-point label threaded into SimulationTimeout by lockstep
         # batches so a multi-point worker failure names the guilty point.
@@ -744,8 +727,7 @@ class OooCore:
                 pstats = self.policy.stats
                 pstats.gate_checks += 1
                 if self.policy.may_issue_branch(dyn, self):
-                    self._execute(self, dyn, cycle,
-                                  self.config.branch_latency)
+                    self._execute_alu(dyn, cycle, self.config.branch_latency)
                     budget -= 1
                     alu_ports -= 1
                 else:
@@ -777,7 +759,7 @@ class OooCore:
         overflow: list[tuple[int, DynInst]] = []
         ready = self.ready
         heappop = heapq.heappop
-        execute = self._execute
+        execute = self._execute_alu
         while budget > 0 and ready:
             dyn = heappop(ready)[1]
             if dyn.squashed or dyn.stage is not Stage.DISPATCHED:
@@ -834,7 +816,7 @@ class OooCore:
                     continue
                 div_ports -= 1
             budget -= 1
-            execute(self, dyn, cycle, dec.latency)
+            execute(dyn, cycle, dec.latency)
 
         for entry in overflow:
             heapq.heappush(ready, entry)
@@ -849,10 +831,16 @@ class OooCore:
         self.policy.stats.branch_gate_cycles += 1
 
     def _execute_alu(self, dyn: DynInst, cycle: int, latency: int) -> None:
+        """Compute an ALU/branch/jump result and schedule its completion.
+
+        The operand reads and the completion push are inlined: this runs
+        once per executed non-memory instruction."""
         inst = dyn.inst
         opcode = inst.opcode
-        a = dyn.value_of_src1()
-        b = dyn.value_of_src2()
+        p = dyn.src1_producer
+        a = p.result if p is not None else dyn.src1_value
+        p = dyn.src2_producer
+        b = p.result if p is not None else dyn.src2_value
         if opcode.is_branch:
             dyn.actual_taken = semantics.branch_taken(opcode, a, b)
             dyn.actual_target = (
@@ -868,22 +856,8 @@ class OooCore:
             dyn.result = inst.pc + INSTRUCTION_BYTES
         else:
             dyn.result = semantics.alu_result(opcode, a, b, inst.imm, inst.pc)
-        self._schedule(dyn, cycle, latency)
-
-    def _execute_alu_spec(self, dyn: DynInst, cycle: int, latency: int) -> None:
-        """Specialized execute: one pre-compiled op per PC (see
-        :mod:`repro.uarch.specialize`), bit-identical to
-        :meth:`_execute_alu` by the equivalence suite's contract.  The
-        operand reads and the schedule call are inlined — this runs once
-        per executed ALU/branch/jump instruction."""
-        p = dyn.src1_producer
-        a = p.result if p is not None else dyn.src1_value
-        p = dyn.src2_producer
-        b = p.result if p is not None else dyn.src2_value
-        dyn.dec.xop(dyn, a, b)
-        # _complete_at, inlined (hot: once per executed ALU instruction).
         if dyn.stage is Stage.DISPATCHED:
-            self.iq_count -= 1
+            self.iq_count -= 1  # leaves the issue queue
         dyn.stage = Stage.ISSUED
         dyn.issue_cycle = self._cycle
         heapq.heappush(self.completions, (cycle + latency, dyn.seq, dyn))
@@ -894,12 +868,9 @@ class OooCore:
         inst = dyn.inst
         opcode = inst.opcode
         if dyn.mem_address is None:
-            if self._specialize:
-                dyn.mem_address = dyn.dec.aop(dyn.value_of_src1())
-            else:
-                dyn.mem_address = semantics.effective_address(
-                    dyn.value_of_src1(), inst.imm
-                )
+            dyn.mem_address = semantics.effective_address(
+                dyn.value_of_src1(), inst.imm
+            )
         p = dyn.src1_producer
         address_secret = (p.out_secret if p is not None
                           else dyn.src1_arf_secret)
@@ -995,10 +966,7 @@ class OooCore:
             dyn.forwarded_from = forwarding_store
             shift = (dyn.mem_address - forwarding_store.mem_address) * 8
             raw = (forwarding_store.store_data >> shift) & ((1 << (size * 8)) - 1)
-            if self._specialize:
-                dyn.result = dyn.dec.ext(raw)
-            else:
-                dyn.result = self._extend(raw, size, opcode)
+            dyn.result = self._extend(raw, size, opcode)
             if dyn.stage is Stage.DISPATCHED:
                 self.iq_count -= 1
             dyn.stage = Stage.ISSUED
@@ -1016,10 +984,7 @@ class OooCore:
         if self._secret_spans:
             dyn.out_secret = self._bytes_labelled(address, size)
         raw = self.memory.read_int(address, size)
-        if self._specialize:
-            dyn.result = dyn.dec.ext(raw)
-        else:
-            dyn.result = self._extend(raw, size, opcode)
+        dyn.result = self._extend(raw, size, opcode)
         if dyn.stage is Stage.DISPATCHED:
             self.iq_count -= 1
         dyn.stage = Stage.ISSUED

@@ -68,9 +68,6 @@ class DecodedInst:
         # instead of an Opcode attribute chain / string compare.
         "sched", "port_i", "cc", "dest", "asize", "is_ctrl", "true_load",
         "rs1n", "rs2n",
-        # Specialized per-PC ops, attached lazily by repro.uarch.specialize:
-        # execute (xop), effective address (aop), load extension (ext).
-        "xop", "aop", "ext",
     )
 
     def __init__(self, inst, kind: int, port: str, latency: int,
@@ -120,9 +117,6 @@ class DecodedInst:
         self.asize = opcode.access_size if opcode.is_mem else 0
         self.is_ctrl = is_branch or is_jalr
         self.true_load = opcode.is_load and opcode is not Opcode.CFLUSH
-        self.xop = None
-        self.aop = None
-        self.ext = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecodedInst({self.inst.text()}, kind={self.kind})"
@@ -131,16 +125,13 @@ class DecodedInst:
 class DecodedProgram:
     """The complete pre-decoded image of one program."""
 
-    __slots__ = ("by_pc", "entry", "fingerprint", "spec_token")
+    __slots__ = ("by_pc", "entry", "fingerprint")
 
     def __init__(self, by_pc: dict[int, DecodedInst], entry: int,
                  fingerprint: str):
         self.by_pc = by_pc
         self.entry = entry
         self.fingerprint = fingerprint
-        # Set (to the fingerprint) once specialized ops are attached, so
-        # sibling plans for other policies skip recompilation.
-        self.spec_token = None
 
     def __len__(self) -> int:
         return len(self.by_pc)

@@ -1,29 +1,26 @@
-"""Fast-path equivalence harness + event-horizon safety.
+"""Event-horizon cycle skipping: equivalence with the stepped reference.
 
-The core's bit-invisible fast paths — event-horizon cycle skipping
-(:mod:`repro.uarch.horizon`) and per-PC specialization
-(:mod:`repro.uarch.specialize`) — share one contract: a run with them
-on must be *bit-identical* to the all-off interpreted
-reference — same cycle count, same CoreStats, same architectural
+Cycle skipping (:mod:`repro.uarch.horizon`) is the core's one
+bit-invisible fast path: a run with it on must be *bit-identical* to the
+stepped reference — same cycle count, same CoreStats, same architectural
 registers, same memory-hierarchy counters — for every workload and every
 policy.
 
 Layers of defense here:
 
-* the full SPEClite suite x every policy, all fast paths on vs the
-  all-off reference from the shared harness in ``tests/fastpath.py``
-  (which ``tests/test_specialize.py`` reuses for its specialize-only arm);
+* the full SPEClite suite x every policy, cycle skip on vs the stepped
+  reference (memoised per (workload, policy) by :func:`reference_run`,
+  which ``tests/test_issue_pinned.py`` digests too);
 * a hypothesis property over random programs *and* random core
   geometries, with an instrumented warp asserting the engine never skips
   past a scheduled completion; and
 * timeout equivalence — both modes must raise the same enriched
   :class:`SimulationTimeout` at the same limit.
-
-Specialization's own properties and plan-cache behaviour live in
-``tests/test_specialize.py``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -36,20 +33,46 @@ from repro.testing import programs
 from repro.uarch import CoreConfig, OooCore
 from repro.workloads import WORKLOAD_NAMES, build_workload
 
-from .fastpath import assert_arm_matches_reference
-
 POLICIES = tuple(sorted(ALL_POLICY_NAMES))
+MAX_CYCLES = 5_000_000
 
 #: Workloads whose test-scale runs are dominated by DRAM-latency waits, so
 #: the engine must actually warp (not merely be allowed to).
 MEMORY_BOUND = ("pchase", "gather", "treewalk", "listupd")
 
 
+@lru_cache(maxsize=None)
+def _program(name):
+    workload = build_workload(name, "test")
+    return workload, workload.assemble()
+
+
+@lru_cache(maxsize=None)
+def reference_run(name, policy_name):
+    """(stats, regs, stats_dict) of the stepped run; checked once."""
+    workload, program = _program(name)
+    core = OooCore(program, policy=make_policy(policy_name), cycle_skip=False)
+    result = core.run(max_cycles=MAX_CYCLES)
+    # Reference mode must really be stepping.
+    assert core.warp_stats.warps == 0
+    assert workload.validate(result.regs), f"{name}/{policy_name}"
+    return result.stats, result.regs, result.stats_dict()
+
+
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_suite_equivalence_under_every_policy(name):
-    """All fast paths on is bit-identical to the interpreted reference:
-    stats, regs, memory counters."""
-    fast = assert_arm_matches_reference(name, "all-on")
+    """Cycle skip on is bit-identical to the stepped reference: stats,
+    regs, memory counters."""
+    _, program = _program(name)
+    for policy_name in POLICIES:
+        ref_stats, ref_regs, ref_dict = reference_run(name, policy_name)
+        core = OooCore(program, policy=make_policy(policy_name),
+                       cycle_skip=True)
+        fast = core.run(max_cycles=MAX_CYCLES)
+        label = f"{name}/{policy_name}"
+        assert fast.stats == ref_stats, label
+        assert fast.regs == ref_regs, label
+        assert fast.stats_dict() == ref_dict, label
     # The warp counters are diagnostics, not simulated state: they must
     # never leak into CoreStats (that would break the equality above).
     assert not hasattr(fast.stats, "cycles_skipped")
@@ -140,7 +163,8 @@ def test_warp_never_skips_past_a_completion(source, policy_name, config):
 
 def test_timeout_is_bit_identical_and_enriched():
     """Both modes hit the limit at the same point with the same message,
-    and the exception carries committed count and current fetch PC."""
+    and the exception carries committed count and current fetch PC;
+    outside a batch the point attribution stays None."""
     program = build_workload("treewalk", "test").assemble()
     limit = 500
     errors = []
@@ -156,6 +180,7 @@ def test_timeout_is_bit_identical_and_enriched():
     assert fast_err.pc == ref_err.pc
     assert f"committed {fast_err.committed}" in str(fast_err)
     assert f"{fast_err.pc:#x}" in str(fast_err)
+    assert fast_err.point is None and ref_err.point is None
 
 
 def test_env_overrides_force_reference_paths(monkeypatch):

@@ -1,13 +1,13 @@
 """Pinned simulated behaviour of the issue stage.
 
-The fast-path equivalence suites (``tests/fastpath.py``) compare each
-fast path against a reference that runs the *same* issue stage, so a
-change to ``OooCore._issue`` itself is invisible to them.  These tests
-pin the simulated outcome directly:
+The cycle-skip equivalence suite (``tests/test_event_horizon.py``)
+compares the fast path against a reference that runs the *same* issue
+stage, so a change to ``OooCore._issue`` itself is invisible to it.
+These tests pin the simulated outcome directly:
 
 * one SHA-256 over ``stats_dict()`` + architectural registers for the
-  14 SPEClite workloads x 7 policies (the memoised all-off reference
-  runs, shared with the equivalence suites — no extra simulations);
+  14 SPEClite workloads x 7 policies (the memoised stepped reference
+  runs, shared with the equivalence suite — no extra simulations);
 * one SHA-256 over the fence-bearing adversarial programs
   ``fuzz/s7/i{0..15}/f{41,c3}`` x 7 policies;
 * exact ``memdep_blocked_cycles`` / ``load_gate_cycles`` / ``cycles``
@@ -32,7 +32,7 @@ from repro.secure import make_policy
 from repro.uarch import CoreConfig, OooCore
 from repro.workloads import WORKLOAD_NAMES, build_workload
 
-from .fastpath import POLICIES, reference_run
+from .test_event_horizon import POLICIES, reference_run
 
 SUITE_DIGEST = "9a85c2a1a809329b82d8b071fb9cda9d2d874e1567e1e341062a264853480c5f"
 FUZZ_DIGEST = "35666e81326f33a8e205905a6ee466b7753da252dc883e98d8d0ceee2d3f4743"

@@ -75,8 +75,7 @@ def test_lockstep_never_diverges(composition):
     """Property: a batch of random size and composition (duplicates and
     mixed workloads included) returns records bit-identical to running
     each member alone, so no state the members share (the decoded image,
-    its specialized ops, the build cache) carries over from one member's
-    run into the next."""
+    the build cache) carries over from one member's run into the next."""
     keys = tuple(
         f"m{i}:{w}/{p}" for i, (w, p) in enumerate(composition)
     )

@@ -224,13 +224,13 @@ def test_wrong_path_off_text_segment_recovers():
     assert result.regs == functional.regs
 
 
-@pytest.mark.parametrize("specialize", [True, False])
-def test_finished_core_is_freed_without_the_cycle_collector(specialize):
+@pytest.mark.parametrize("cycle_skip", [True, False])
+def test_finished_core_is_freed_without_the_cycle_collector(cycle_skip):
     """A core holds no reference cycle: dropping the last reference frees
     it (and its memory image and caches) at once, not at the next full
-    garbage collection."""
+    garbage collection — whether it warped or stepped."""
     core = OooCore(assemble(SUM_LOOP), policy=make_policy("levioso"),
-                   specialize=specialize, record_observations=True)
+                   cycle_skip=cycle_skip, record_observations=True)
     core.run()
     ref = weakref.ref(core)
     enabled = gc.isenabled()
@@ -241,3 +241,13 @@ def test_finished_core_is_freed_without_the_cycle_collector(specialize):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_defers_wakeup_skip_only_for_non_overriding_policies():
+    """The per-completion defers_wakeup call may be elided only when the
+    policy inherits the base (constant-False) implementation."""
+    program = assemble(SUM_LOOP)
+    nda = OooCore(program, policy=make_policy("nda"))
+    assert nda._defers_wakeup is not None  # NDA overrides: must be called
+    levioso = OooCore(program, policy=make_policy("levioso"))
+    assert levioso._defers_wakeup is None  # base impl: safely skipped

@@ -477,6 +477,23 @@ def test_concurrent_drains_share_a_timed_out_verdict():
     assert (refused.status, refused.message) == (503, "service is draining")
 
 
+def test_stop_after_an_earlier_drain_returns_its_verdict():
+    """``ServiceThread.stop()`` after the service already drained by
+    another route returns that drain's verdict instead of scheduling a
+    second drain on the closed loop."""
+    server = ServiceThread(ServiceConfig(port=0, jobs=1, drain_timeout=0.2))
+    server.start()
+    server.pause()  # the one job can never resolve: the drain times out
+    server.call(lambda s: s.submit(
+        [RunRequest(workload="gather", policy="none")]))
+    first = asyncio.run_coroutine_threadsafe(
+        server.service.drain_and_stop(), server._loop).result(30.0)
+    assert first is False
+    assert server.stop() is False
+    assert server.drained is False
+    assert not server._thread.is_alive()
+
+
 # ------------------------------------------------------------------- chaos
 def test_service_chaos_smoke_bit_identical(tmp_path):
     """Worker kill + cache corruption through HTTP: recovery must match."""

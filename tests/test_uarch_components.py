@@ -147,3 +147,26 @@ def test_dispatch_respects_small_rob():
     result = OooCore(program, config=config).run()
     assert result.regs[10] == 42
     assert result.stats.rob_full_stalls > 0
+
+
+def test_image_cache_stays_bounded_under_config_sweeps():
+    """A sweep over more latency profiles than the decoded-image LRU holds
+    must not grow it past its cap, and the newest entry must survive (LRU
+    evicts from the cold end)."""
+    import dataclasses
+
+    from repro.uarch.decoded import decoded_image, image_cache_info
+    from repro.workloads import build_workload
+
+    program = build_workload("gather", "test").assemble()
+    image_max = image_cache_info()["max_entries"]
+    sweep = image_max + 10
+    for alu_latency in range(1, sweep + 1):
+        config = dataclasses.replace(CoreConfig(), alu_latency=alu_latency)
+        newest = decoded_image(program, config)
+    # The cap was actually exercised (the sweep overflowed it).
+    assert image_cache_info()["entries"] == image_max
+    # The hottest (most recent) profile is still cached: re-requesting it
+    # returns the same image instead of decoding again.
+    config = dataclasses.replace(CoreConfig(), alu_latency=sweep)
+    assert decoded_image(program, config) is newest
