@@ -8,6 +8,7 @@ Subcommands::
     repro lint TARGET... [--expect E]    # scan many programs, gate on the result
     repro bench [--scale S] [--jobs N] [--policies ...] [--workloads ...]
     repro experiment ID... [--scale S] [--jobs N] [--cache]
+                                         # exit 1 names each failed claim
     repro fuzz [--seed N] [--count N] [--repair] [--json] [--out F]
                                          # adversarial campaign: synthesize,
                                          # scan, oracle-judge, repair
@@ -20,7 +21,8 @@ Subcommands::
     repro pipeline FILE.s [--policy P]   # per-instruction timeline view
     repro profile TARGET [--policy P] [--sort cumtime] [--json]
                                          # cProfile + cycle attribution
-    repro report [--scale S]             # fold bench artifacts into EXPERIMENTS.md
+    repro report [--scale S]             # rerun every experiment, check its claims,
+                                         # rewrite EXPERIMENTS.md's record
     repro suite                          # list workloads
     repro cache {info,verify,repair,clear}   # persistent run-result cache
     repro chaos [--seed N] [--service]   # fault-injection smoke drill
@@ -548,7 +550,15 @@ def cmd_experiment(args) -> int:
               f"{cache.stats.stores} stored"
               + (f", {cache.stats.quarantined} quarantined"
                  if cache.stats.quarantined else ""))
-    return 0 if report.ok else 1
+    return 0 if _claims_hold(results) and report.ok else 1
+
+
+def _claims_hold(results) -> bool:
+    """Print every failed claim by experiment; True when none failed."""
+    failed = [(r.experiment_id, c) for r in results.values() for c in r.failed_claims]
+    for experiment_id, claim in failed:
+        print(f"claim failed: {experiment_id}: {claim}", file=sys.stderr)
+    return not failed
 
 
 def cmd_cache(args) -> int:
@@ -760,14 +770,18 @@ def cmd_profile(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .harness.report import update_experiments_md
+    from .harness.report import MARKER, update_experiments_md
 
-    ok = update_experiments_md(args.experiments, args.artifacts, scale=args.scale)
-    if ok:
-        print(f"updated {args.experiments} from {args.artifacts}")
-        return 0
-    print("nothing to do (no artifacts or no '## Recorded' marker)")
-    return 1
+    results = run_experiments(list(EXPERIMENTS), scale=args.scale)
+    if not _claims_hold(results):
+        print(f"{args.experiments} left unchanged", file=sys.stderr)
+        return 1
+    if not update_experiments_md(args.experiments, results.values(), scale=args.scale):
+        print(f"error: no '{MARKER}' marker in {args.experiments}", file=sys.stderr)
+        return 2
+    print(f"updated {args.experiments}: {len(results)} experiments at "
+          f"{args.scale} scale, every claim holds")
+    return 0
 
 
 def cmd_suite(args) -> int:
@@ -869,7 +883,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_parallel_flags(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("experiment", help="regenerate tables/figures")
+    p = sub.add_parser(
+        "experiment", help="regenerate tables/figures and check their claims"
+    )
     p.add_argument("ids", nargs="+", choices=sorted(EXPERIMENTS),
                    metavar="ID")
     p.add_argument("--scale", default="test", choices=("test", "ref"))
@@ -1067,10 +1083,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("report", help="fold benchmark artifacts into EXPERIMENTS.md")
+    p = sub.add_parser(
+        "report", help="rerun every experiment, check its claims and rewrite "
+        "EXPERIMENTS.md's record"
+    )
     p.add_argument("--experiments", default="EXPERIMENTS.md")
-    p.add_argument("--artifacts", default="benchmarks/_artifacts")
-    p.add_argument("--scale", default="test")
+    p.add_argument("--scale", default="test", choices=("test", "ref"))
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("suite", help="list SPEClite workloads")

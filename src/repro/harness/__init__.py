@@ -9,7 +9,6 @@ from .parallel import (
     run_experiments,
 )
 from .report import (
-    collect_artifacts,
     render_record,
     render_resilience,
     resilience_summary,
@@ -37,7 +36,6 @@ __all__ = [
     "RunOutcome",
     "RunRecord",
     "chaos_smoke",
-    "collect_artifacts",
     "config_fingerprint",
     "default_jobs",
     "execute_supervised",

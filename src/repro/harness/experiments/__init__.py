@@ -1,4 +1,10 @@
-"""Per-table/figure experiment modules (see DESIGN.md experiment index)."""
+"""Per-table/figure experiment modules (see DESIGN.md experiment index).
+
+Each registry entry offers ``run()`` (regenerate the table), ``check(result)``
+(the shape claims it must meet; an empty list means all hold) and, when its
+simulation grid is known up front, ``grid()`` (the points to prefetch in
+parallel).  The registry order is the order of EXPERIMENTS.md's record.
+"""
 
 from . import (
     ablation_compiler,
@@ -23,6 +29,7 @@ EXPERIMENTS = {
     "fig2": fig2,
     "fig3": fig3,
     "fig4": fig4,
+    "fig4b": fig4.branch_latency,
     "fig5": fig5,
     "ablationA": ablation_compiler,
     "ablationB": ablation_scope,

@@ -9,10 +9,16 @@ the conservative baseline — quantifying how much of the win is the
 
 from __future__ import annotations
 
-from ..runner import ExperimentRunner, geomean
-from .base import ExperimentResult
+from ..runner import ExperimentRunner, GridPoint, geomean, overhead_grid
+from .base import ExperimentResult, percents, unmet
 
 WORKLOAD_SUBSET = ("gather", "pchase", "histogram", "treewalk", "sandbox", "listupd")
+
+
+def grid() -> list[GridPoint]:
+    return overhead_grid(WORKLOAD_SUBSET, ("levioso", "ctt")) + [
+        GridPoint(w, "levioso", use_compiler_info=False) for w in WORKLOAD_SUBSET
+    ]
 
 
 def run(
@@ -60,3 +66,15 @@ def run(
             "geomean_ctt": geomean(ctt_all),
         },
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    informed = result.extras["geomean_informed"]
+    blind = result.extras["geomean_blind"]
+    ctt = result.extras["geomean_ctt"]
+    # The compiler information is what separates Levioso from CTT:
+    # removing it must cost performance and land near (or beyond) CTT.
+    return unmet({
+        "levioso < levioso without metadata": informed < blind,
+        "levioso without metadata >= 0.8 x ctt": blind >= 0.8 * ctt,
+    }, percents({"levioso": informed, "no metadata": blind, "ctt": ctt}))

@@ -12,7 +12,7 @@ from ...secure.levioso import LeviosoPolicy
 from ...uarch import OooCore
 from ...workloads import build_workload
 from ..runner import geomean
-from .base import ExperimentResult
+from .base import ExperimentResult, percents, unmet
 
 WIDTHS: tuple[int | None, ...] = (1, 2, 4, None)
 WORKLOAD_SUBSET = ("gather", "branchy", "treewalk", "sandbox")
@@ -59,3 +59,14 @@ def run(
         notes="live dependency sets are small: one or two matrix columns per instruction already capture nearly all of the win",
         extras={"series": series},
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    series = dict(result.extras["series"])
+    # Wider matrices never hurt, and a 4-column matrix is within 25% of
+    # unbounded tracking (relative) — the hardware-budget claim.
+    return unmet({
+        "width 4 >= unbounded": series["4"] >= series["unbounded"] - 1e-9,
+        "width 1 >= width 4": series["1"] >= series["4"] - 1e-9,
+        "width 4 <= 1.25 x unbounded + 2 pp": series["4"] <= series["unbounded"] * 1.25 + 0.02,
+    }, percents({f"width {w}": gm for w, gm in series.items()}))

@@ -9,10 +9,14 @@ back — plus Delay-on-Miss for context.
 from __future__ import annotations
 
 from ...workloads import WORKLOAD_NAMES
-from ..runner import ExperimentRunner, geomean
-from .base import ExperimentResult
+from ..runner import ExperimentRunner, GridPoint, geomean, overhead_grid
+from .base import ExperimentResult, percents, unmet
 
 POLICIES = ("stt", "nda", "dom", "ctt", "levioso")
+
+
+def grid() -> list[GridPoint]:
+    return overhead_grid(WORKLOAD_NAMES, POLICIES)
 
 
 def run(
@@ -49,3 +53,13 @@ def run(
         ),
         extras={"geomeans": geomeans},
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    gm = result.extras["geomeans"]
+    # STT (weaker guarantee) is cheaper than CTT (comprehensive), and
+    # Levioso closes much of that gap while keeping the guarantee.
+    return unmet({
+        "stt <= ctt": gm["stt"] <= gm["ctt"],
+        "levioso < ctt": gm["levioso"] < gm["ctt"],
+    }, percents(gm))

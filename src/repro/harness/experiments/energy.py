@@ -10,11 +10,15 @@ This experiment reproduces that methodology on the event-based model in
 from __future__ import annotations
 
 from ...uarch.energy import energy_delay_product, estimate_energy
-from ..runner import ExperimentRunner, geomean
-from .base import ExperimentResult
+from ..runner import ExperimentRunner, GridPoint, geomean, overhead_grid
+from .base import ExperimentResult, unmet
 
 POLICIES = ("fence", "ctt", "levioso")
 WORKLOAD_SUBSET = ("gather", "pchase", "branchy", "treewalk", "stream", "crc")
+
+
+def grid() -> list[GridPoint]:
+    return overhead_grid(WORKLOAD_SUBSET, POLICIES)
 
 
 def run(
@@ -79,3 +83,17 @@ def run(
         notes="Levioso is additionally charged for its dependency-matrix updates.",
         extras={"geomeans": geomeans},
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    geomeans = result.extras["geomeans"]
+    lev_e, lev_edp = geomeans["levioso"]
+    fence_e, fence_edp = geomeans["fence"]
+    ctt_e, ctt_edp = geomeans["ctt"]
+    # Levioso wins on EDP against both baselines even after paying for its
+    # dependency-tracking hardware.
+    return unmet({
+        "levioso EDP < ctt EDP <= 1.1 x fence EDP": lev_edp < ctt_edp <= fence_edp * 1.1,
+        "levioso energy <= ctt energy + 1 pp": lev_e <= ctt_e + 0.01,
+    }, ", ".join(f"{p} E {100 * e:.1f}% EDP {100 * d:.1f}%"
+                 for p, (e, d) in geomeans.items()))

@@ -14,8 +14,12 @@ static variant).
 from __future__ import annotations
 
 from ...workloads import WORKLOAD_NAMES
-from ..runner import ExperimentRunner
-from .base import ExperimentResult
+from ..runner import ExperimentRunner, GridPoint
+from .base import ExperimentResult, unmet
+
+
+def grid() -> list[GridPoint]:
+    return [GridPoint(w, "none") for w in WORKLOAD_NAMES]
 
 
 def run(
@@ -67,3 +71,14 @@ def run(
         ),
         extras={"mean_conservative": mean_cons, "mean_true": mean_true},
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    cons = result.extras["mean_conservative"]
+    true = result.extras["mean_true"]
+    # The paper's motivation: most speculative loads do NOT truly depend on
+    # the branches that make them speculative.
+    return unmet({
+        "true-dep mean < conservative mean": true < cons,
+        "conservative exceeds true-dep by > 10 pp of headroom": cons - true > 0.10,
+    }, f"conservative {cons:.3f}, true-dep {true:.3f}")

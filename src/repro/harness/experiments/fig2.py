@@ -9,10 +9,14 @@ the comprehensive gap — is the reproduction target (EXPERIMENTS.md).
 from __future__ import annotations
 
 from ...workloads import WORKLOAD_NAMES
-from ..runner import ExperimentRunner, geomean
-from .base import ExperimentResult
+from ..runner import ExperimentRunner, GridPoint, geomean, overhead_grid
+from .base import ExperimentResult, percents, unmet
 
 POLICIES = ("fence", "ctt", "levioso")
+
+
+def grid() -> list[GridPoint]:
+    return overhead_grid(WORKLOAD_NAMES, POLICIES)
 
 
 def run(
@@ -46,3 +50,14 @@ def run(
         notes="paper reference (geomean): fence-class 51%, CTT-class 43%, Levioso 23%",
         extras={"geomeans": geomeans, "per_policy": per_policy},
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    gm = result.extras["geomeans"]
+    return unmet({
+        "levioso < ctt <= fence": gm["levioso"] < gm["ctt"] <= gm["fence"],
+        "fence > 10% (not suspiciously cheap)": gm["fence"] > 0.10,
+        "ctt > 5% (not suspiciously cheap)": gm["ctt"] > 0.05,
+        # Levioso buys back at least 35% of the comprehensive baseline's cost.
+        "levioso < 0.65 x ctt": gm["levioso"] < 0.65 * gm["ctt"],
+    }, percents(gm))

@@ -12,10 +12,14 @@ while the 19 that commit waited 2,266 cycles).
 from __future__ import annotations
 
 from ...workloads import WORKLOAD_NAMES
-from ..runner import ExperimentRunner
-from .base import ExperimentResult
+from ..runner import ExperimentRunner, GridPoint, overhead_grid
+from .base import ExperimentResult, unmet
 
 POLICIES = ("fence", "ctt", "levioso")
+
+
+def grid() -> list[GridPoint]:
+    return overhead_grid(WORKLOAD_NAMES, POLICIES)
 
 
 def run(
@@ -52,3 +56,13 @@ def run(
         rows=rows,
         extras={"totals": totals},
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    mean = {p: sum(v) / len(v) for p, v in result.extras["totals"].items()}
+    # Levioso delays fewer loads per kilo-instruction than the baselines.
+    return unmet({
+        "levioso < ctt <= 1.5 x fence gated loads/ki":
+            mean["levioso"] < mean["ctt"] <= mean["fence"] * 1.5,
+        "fence > levioso gated loads/ki": mean["fence"] > mean["levioso"],
+    }, ", ".join(f"{p} {v:.1f}" for p, v in mean.items()))

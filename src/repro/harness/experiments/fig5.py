@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ...attacks import ATTACKS, leak_rate, security_matrix
-from .base import ExperimentResult
+from .base import ExperimentResult, unmet
 
 POLICIES = ("none", "stt", "nda", "fence", "dom", "ctt", "levioso")
 
@@ -34,3 +34,23 @@ def run(
         ),
         extras={"leak_rates": outcomes},
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    rates = result.extras["leak_rates"]
+    attacks = ("spectre_v1", "spectre_v2", "spectre_v1_ct")
+    # Unprotected leaks every attack, every trial.
+    claims = {f"{a} leaks every trial under none": rates[(a, "none")] == 1.0
+              for a in attacks}
+    # STT blocks the sandbox attack but not the non-speculative-secret ones;
+    # NDA likewise protects speculative secrets only.
+    claims["spectre_v1 blocked under stt"] = rates[("spectre_v1", "stt")] == 0.0
+    claims["spectre_v1_ct leaks every trial under stt"] = rates[("spectre_v1_ct", "stt")] == 1.0
+    claims["spectre_v2 leaks every trial under stt"] = rates[("spectre_v2", "stt")] == 1.0
+    claims["spectre_v1 blocked under nda"] = rates[("spectre_v1", "nda")] == 0.0
+    claims["spectre_v2 leaks every trial under nda"] = rates[("spectre_v2", "nda")] == 1.0
+    # Every comprehensive policy blocks everything.
+    for policy in ("fence", "dom", "ctt", "levioso"):
+        for attack in attacks:
+            claims[f"{attack} blocked under {policy}"] = rates[(attack, policy)] == 0.0
+    return unmet(claims)

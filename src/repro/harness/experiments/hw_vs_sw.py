@@ -18,8 +18,8 @@ import os
 
 from ...compiler.mitigations import MITIGATION_PASSES, mitigation_tag
 from ...workloads import WORKLOAD_NAMES
-from ..runner import ExperimentRunner, geomean
-from .base import ExperimentResult
+from ..runner import ExperimentRunner, GridPoint, geomean, overhead_grid
+from .base import ExperimentResult, percents, unmet
 
 HW_POLICIES = ("fence", "ctt", "levioso")
 
@@ -37,6 +37,12 @@ def sw_passes() -> tuple[str, ...]:
             f"know {list(MITIGATION_PASSES)}"
         )
     return chosen
+
+
+def grid() -> list[GridPoint]:
+    return overhead_grid(WORKLOAD_NAMES, HW_POLICIES) + [
+        GridPoint(f"mit/{p}/{w}", "none") for w in WORKLOAD_NAMES for p in sw_passes()
+    ]
 
 
 def run(
@@ -89,3 +95,15 @@ def run(
             "hw_policies": list(policies),
         },
     )
+
+
+#: The headline ordering of geomean overheads, costliest first.
+ORDER = ("sw:fence", "sw:slh", "hw:fence", "hw:ctt", "hw:levioso")
+
+
+def check(result: ExperimentResult) -> list[str]:
+    gm = result.extras["geomeans"]
+    chain = [column for column in ORDER if column in gm]  # REPRO_SW_PASSES narrows
+    return unmet({
+        " > ".join(chain): all(gm[a] > gm[b] for a, b in zip(chain, chain[1:])),
+    }, percents({column: gm[column] for column in chain}))

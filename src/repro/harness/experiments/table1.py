@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ...uarch import CoreConfig
-from .base import ExperimentResult
+from .base import ExperimentResult, unmet
 
 
 def run(config: CoreConfig | None = None) -> ExperimentResult:
@@ -16,3 +16,11 @@ def run(config: CoreConfig | None = None) -> ExperimentResult:
         rows=rows,
         notes="gem5 O3-class parameters; see CoreConfig for every knob.",
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    labels = {row[0] for row in result.rows}
+    return unmet({
+        "lists pipeline width, ROB / IQ / LQ / SQ, L1D and DRAM":
+            {"Pipeline width", "ROB / IQ / LQ / SQ", "L1D", "DRAM"} <= labels,
+    })

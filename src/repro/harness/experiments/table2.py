@@ -5,7 +5,7 @@ from __future__ import annotations
 from ...analysis import scan_counters
 from ...compiler import static_stats
 from ...workloads import build_suite
-from .base import ExperimentResult
+from .base import ExperimentResult, unmet
 
 
 def run(scale: str = "ref") -> ExperimentResult:
@@ -47,3 +47,14 @@ def run(scale: str = "ref") -> ExperimentResult:
             "scanner flags (SPEClite kernels should all be 0)."
         ),
     )
+
+
+def check(result: ExperimentResult) -> list[str]:
+    claims = {f"one row per SPEClite kernel: 14 (got {len(result.rows)})":
+              len(result.rows) == 14}
+    for row in result.rows:
+        name, coverage = row[0], row[3]
+        claims[f"{name} reconv coverage {coverage} within [0, 1]"] = 0.0 <= coverage <= 1.0
+        # Structured code reconverges almost everywhere.
+        claims[f"{name} reconv coverage {coverage} >= 0.9"] = coverage >= 0.9
+    return unmet(claims)

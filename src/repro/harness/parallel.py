@@ -20,16 +20,15 @@ bit-identical to serial execution by construction; the test suite
 additionally asserts equal cycle counts for serial vs ``jobs=2``.
 
 The worker count comes from ``--jobs N`` on the CLI or the ``REPRO_JOBS``
-environment variable (used by the benchmark suite under pytest);
-``jobs=1`` (the default) never forks and behaves exactly like the serial
-runner.
+environment variable; ``jobs=1`` (the default) never forks and behaves
+exactly like the serial runner.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import HarnessError
 from ..uarch import CoreConfig
@@ -226,110 +225,18 @@ class ParallelRunner(ExperimentRunner):
                            observe=observe)
 
 
-# --------------------------------------------------------------------- grids
-def _grid_fig1(runner: ExperimentRunner) -> list[GridPoint]:
-    from ..workloads import WORKLOAD_NAMES
+def plan_experiment_grid(experiment_ids: Iterable[str]) -> list[GridPoint]:
+    """Union of the experiments' ``grid()`` points (duplicates included;
+    the runner dedupes by content key when prefetching).  Experiments that
+    drive the simulators directly (table1/table2/fig5/ablationC) have no
+    grid and gain nothing from prefetching."""
+    from .experiments import EXPERIMENTS
 
-    return [GridPoint(w, "none") for w in WORKLOAD_NAMES]
-
-
-def _grid_overheads(workloads: Sequence[str],
-                    policies: Sequence[str]) -> list[GridPoint]:
-    points = [GridPoint(w, "none") for w in workloads]
-    points += [GridPoint(w, p) for w in workloads for p in policies]
-    return points
-
-
-def _grid_fig2(runner: ExperimentRunner) -> list[GridPoint]:
-    from ..workloads import WORKLOAD_NAMES
-    from .experiments import fig2
-
-    return _grid_overheads(WORKLOAD_NAMES, fig2.POLICIES)
-
-
-def _grid_fig3(runner: ExperimentRunner) -> list[GridPoint]:
-    from ..workloads import WORKLOAD_NAMES
-    from .experiments import fig3
-
-    return _grid_overheads(WORKLOAD_NAMES, fig3.POLICIES)
-
-
-def _grid_fig4(runner: ExperimentRunner) -> list[GridPoint]:
-    from .experiments import fig4
-
-    points: list[GridPoint] = []
-    for rob in fig4.ROB_SIZES:
-        config = CoreConfig(rob_size=rob, iq_size=min(64, rob),
-                            lq_size=min(48, rob), sq_size=min(48, rob))
-        points += [
-            GridPoint(w, p, config=config)
-            for w in fig4.WORKLOAD_SUBSET
-            for p in ("none", *fig4.POLICIES)
-        ]
-    return points
-
-
-def _grid_ablation_a(runner: ExperimentRunner) -> list[GridPoint]:
-    from .experiments import ablation_compiler as mod
-
-    points = _grid_overheads(mod.WORKLOAD_SUBSET, ("levioso", "ctt"))
-    points += [
-        GridPoint(w, "levioso", use_compiler_info=False)
-        for w in mod.WORKLOAD_SUBSET
-    ]
-    return points
-
-
-def _grid_ablation_b(runner: ExperimentRunner) -> list[GridPoint]:
-    from ..workloads import WORKLOAD_NAMES
-    from .experiments import ablation_scope as mod
-
-    return _grid_overheads(WORKLOAD_NAMES, mod.POLICIES)
-
-
-def _grid_energy(runner: ExperimentRunner) -> list[GridPoint]:
-    from .experiments import energy as mod
-
-    return _grid_overheads(mod.WORKLOAD_SUBSET, mod.POLICIES)
-
-
-def _grid_swcmp(runner: ExperimentRunner) -> list[GridPoint]:
-    from ..workloads import WORKLOAD_NAMES
-    from .experiments import hw_vs_sw as mod
-
-    points = _grid_overheads(WORKLOAD_NAMES, mod.HW_POLICIES)
-    points += [
-        GridPoint(f"mit/{p}/{w}", "none")
-        for w in WORKLOAD_NAMES
-        for p in mod.sw_passes()
-    ]
-    return points
-
-
-#: Experiments whose core-simulation grid is known statically.  The rest
-#: (table1/table2/fig5/ablationC) drive the simulators directly and gain
-#: nothing from prefetching.
-GRID_PLANNERS: dict[str, Callable[[ExperimentRunner], list[GridPoint]]] = {
-    "fig1": _grid_fig1,
-    "fig2": _grid_fig2,
-    "fig3": _grid_fig3,
-    "fig4": _grid_fig4,
-    "ablationA": _grid_ablation_a,
-    "ablationB": _grid_ablation_b,
-    "energy": _grid_energy,
-    "swcmp": _grid_swcmp,
-}
-
-
-def plan_experiment_grid(experiment_ids: Iterable[str],
-                         runner: ExperimentRunner) -> list[GridPoint]:
-    """Union grid for a set of experiments (duplicates included; the
-    runner dedupes by content key when prefetching)."""
     points: list[GridPoint] = []
     for experiment_id in experiment_ids:
-        planner = GRID_PLANNERS.get(experiment_id)
-        if planner is not None:
-            points.extend(planner(runner))
+        grid = getattr(EXPERIMENTS[experiment_id], "grid", None)
+        if grid is not None:
+            points.extend(grid())
     return points
 
 
@@ -348,7 +255,8 @@ def run_experiments(
     Returns ``{experiment_id: ExperimentResult}`` (or, with
     ``with_report=True``, a ``(results, ResilienceReport)`` pair).  All
     experiments share one result store, so points common to several
-    figures simulate once.
+    figures simulate once.  Each result's ``failed_claims`` holds what its
+    module's ``check`` found unmet (empty: every claim holds).
 
     With a persistent ``cache``, an interrupted invocation resumes by
     running it again: the points that finished are cache hits.  With
@@ -364,7 +272,7 @@ def run_experiments(
     runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache,
                             verbose=verbose, store=store,
                             retry_policy=retry_policy, keep_going=keep_going)
-    runner.prefetch(plan_experiment_grid(experiment_ids, runner))
+    runner.prefetch(plan_experiment_grid(experiment_ids))
 
     results = {}
     for experiment_id in experiment_ids:
@@ -387,6 +295,8 @@ def run_experiments(
             if not keep_going:
                 raise
             result = failed_experiment_result(experiment_id, exc)
+        else:
+            result.failed_claims = module.check(result)
         if keep_going and runner.failed_points:
             holes = scrub_holes(result.rows)
             if holes:

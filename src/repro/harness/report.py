@@ -1,14 +1,14 @@
-"""Collect benchmark artifacts into the EXPERIMENTS.md record section.
+"""Report helpers: resilience digests and EXPERIMENTS.md's record section.
 
-``pytest benchmarks/ --benchmark-only`` writes each regenerated table to
-``benchmarks/_artifacts/<id>.txt``; this module folds them into one markdown
-blob (and can rewrite the "Recorded" section of EXPERIMENTS.md in place), so
-the measured record never drifts from what the harness actually produced.
+``repro report`` regenerates every registered experiment in memory and
+rewrites the "Recorded" section of EXPERIMENTS.md from the results, so the
+measured record never drifts from what the harness actually produced.
 """
 
 from __future__ import annotations
 
 import pathlib
+
 
 def resilience_summary(report) -> dict:
     """Machine-readable digest of a supervised grid execution.
@@ -44,71 +44,37 @@ def analysis_summary(programs) -> dict[str, dict[str, int]]:
     return {program.name: scan_counters(program) for program in programs}
 
 
-ARTIFACT_ORDER = (
-    "table1",
-    "table2",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig4b",
-    "fig5",
-    "ablationA",
-    "ablationB",
-    "ablationC",
-    "energy",
-)
-
 MARKER = "## Recorded"
 
 
-def collect_artifacts(artifact_dir: str | pathlib.Path) -> dict[str, str]:
-    """Read every known artifact file that exists."""
-    directory = pathlib.Path(artifact_dir)
-    found = {}
-    for name in ARTIFACT_ORDER:
-        path = directory / f"{name}.txt"
-        if path.exists():
-            found[name] = path.read_text().rstrip()
-    return found
-
-
-def render_record(artifacts: dict[str, str], scale: str = "test") -> str:
-    """Markdown section embedding every collected table."""
+def render_record(results, scale: str = "test") -> str:
+    """Markdown section embedding each result's table, in the given order."""
     lines = [
         f"## Recorded numbers ({scale} scale)",
         "",
-        "Regenerated by `pytest benchmarks/ --benchmark-only`; the blocks",
-        "below are verbatim harness output.",
+        f"Regenerated by `python -m repro report --scale {scale}`, which also",
+        "checks every experiment's claims; the blocks below are verbatim",
+        "harness output.",
         "",
     ]
-    for name in ARTIFACT_ORDER:
-        if name not in artifacts:
-            continue
-        lines.append("```")
-        lines.append(artifacts[name])
-        lines.append("```")
-        lines.append("")
+    for result in results:
+        lines += ["```", result.text().rstrip(), "```", ""]
     return "\n".join(lines).rstrip() + "\n"
 
 
 def update_experiments_md(
     experiments_path: str | pathlib.Path,
-    artifact_dir: str | pathlib.Path,
+    results,
     scale: str = "test",
 ) -> bool:
     """Replace everything from the "## Recorded" marker onward.
 
-    Returns True when the file was rewritten (marker found and artifacts
-    exist), False otherwise.
+    Returns True when the file was rewritten, False when it has no marker.
     """
-    artifacts = collect_artifacts(artifact_dir)
-    if not artifacts:
-        return False
     path = pathlib.Path(experiments_path)
     text = path.read_text()
     index = text.find(MARKER)
     if index < 0:
         return False
-    path.write_text(text[:index] + render_record(artifacts, scale))
+    path.write_text(text[:index] + render_record(results, scale))
     return True

@@ -207,3 +207,10 @@ def geomean(values: list[float]) -> float:
     for v in values:
         product *= 1.0 + v
     return product ** (1.0 / len(values)) - 1.0
+
+
+def overhead_grid(workloads, policies) -> list[GridPoint]:
+    """Every point ``overhead(w, p)`` reads: each baseline, then each policy."""
+    points = [GridPoint(w, "none") for w in workloads]
+    points += [GridPoint(w, p) for w in workloads for p in policies]
+    return points

@@ -1,6 +1,6 @@
 """README's environment-variable table matches the code.
 
-Every ``REPRO_*`` name that ``src/`` or ``benchmarks/`` mentions must have
+Every ``REPRO_*`` name that ``src/`` mentions must have
 a row in README's "Environment variables" table, and every row must name
 a variable the code still reads, so a deleted kill switch cannot outlive
 its code in the docs.
@@ -17,9 +17,8 @@ NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 
 def _names_in_code() -> set[str]:
     names: set[str] = set()
-    for tree in ("src", "benchmarks"):
-        for path in (ROOT / tree).rglob("*.py"):
-            names.update(NAME.findall(path.read_text(encoding="utf-8")))
+    for path in (ROOT / "src").rglob("*.py"):
+        names.update(NAME.findall(path.read_text(encoding="utf-8")))
     return names
 
 
@@ -37,7 +36,7 @@ def _names_in_readme_table() -> set[str]:
 def test_readme_env_table_lists_exactly_the_variables_the_code_reads():
     in_code = _names_in_code()
     in_readme = _names_in_readme_table()
-    assert in_code, "no REPRO_* names found under src/ or benchmarks/"
+    assert in_code, "no REPRO_* names found under src/"
     assert in_readme == in_code, (
         f"missing from README: {sorted(in_code - in_readme)}; "
         f"stale in README: {sorted(in_readme - in_code)}"

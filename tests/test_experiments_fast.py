@@ -1,4 +1,9 @@
-"""Fast experiment-module tests (the slow ones live in benchmarks/)."""
+"""Fast experiment-module tests.
+
+The simulation-heavy figures are regenerated, and their claims checked, by
+``repro report`` and ``repro experiment``; their claims' own logic is
+covered by ``test_claims.py``.
+"""
 
 from repro.harness.experiments import fig5, table1, table2
 
@@ -8,6 +13,7 @@ def test_table1_renders():
     text = result.text()
     assert "Simulated processor configuration" in text
     assert "192" in text  # ROB size appears
+    assert table1.check(result) == []
 
 
 def test_table2_runs_at_test_scale():
@@ -15,6 +21,7 @@ def test_table2_runs_at_test_scale():
     assert len(result.rows) == 14
     names = {row[0] for row in result.rows}
     assert "gather" in names and "cipher" in names
+    assert table2.check(result) == []
 
 
 def test_fig5_matrix_shape():

@@ -36,7 +36,7 @@ def test_table1_contains_rob_row():
 
 def test_experiment_registry_complete():
     assert set(EXPERIMENTS) == {
-        "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5",
+        "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig4b", "fig5",
         "ablationA", "ablationB", "ablationC", "energy", "swcmp",
     }
 

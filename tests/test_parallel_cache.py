@@ -129,13 +129,12 @@ def test_prefetch_dedupes_shared_points():
 
 
 def test_plan_experiment_grid_covers_baselines():
-    runner = ExperimentRunner(scale="test")
-    points = plan_experiment_grid(["fig2"], runner)
+    points = plan_experiment_grid(["fig2"])
     workloads = {p.workload for p in points}
     assert {p.policy for p in points} >= {"none", "fence", "ctt", "levioso"}
     assert all(GridPoint(w, "none") in points for w in workloads)
-    # Unknown/simulation-free experiments contribute no points.
-    assert plan_experiment_grid(["table1", "fig5"], runner) == []
+    # Simulation-free experiments contribute no points.
+    assert plan_experiment_grid(["table1", "fig5"]) == []
 
 
 # ------------------------------------------------------- persistent cache

@@ -1,45 +1,36 @@
-"""Artifact collection into EXPERIMENTS.md."""
+"""EXPERIMENTS.md's record section, rendered from in-memory results."""
 
-from repro.harness.report import (
-    collect_artifacts,
-    render_record,
-    update_experiments_md,
-)
+from repro.harness.experiments import ExperimentResult
+from repro.harness.report import render_record, update_experiments_md
 
 
-def test_collect_missing_dir(tmp_path):
-    assert collect_artifacts(tmp_path / "nope") == {}
+def _results():
+    return [
+        ExperimentResult("fig2", "overheads", ["benchmark", "levioso"], [["gather", 0.0]]),
+        ExperimentResult("fig5", "security", ["attack", "levioso"], [["spectre_v1", "safe"]]),
+    ]
 
 
-def test_collect_and_render(tmp_path):
-    (tmp_path / "fig2.txt").write_text("fig2 table body\n")
-    (tmp_path / "fig5.txt").write_text("fig5 table body\n")
-    (tmp_path / "unrelated.txt").write_text("ignored\n")
-    artifacts = collect_artifacts(tmp_path)
-    assert set(artifacts) == {"fig2", "fig5"}
-    record = render_record(artifacts, scale="test")
-    assert record.index("fig2 table body") < record.index("fig5 table body")
-    assert "```" in record
+def test_render_record_keeps_the_given_order():
+    record = render_record(_results(), scale="ref")
+    assert record.startswith("## Recorded numbers (ref scale)")
+    assert "repro report --scale ref" in record
+    assert record.index("fig2: overheads") < record.index("fig5: security")
+    assert record.count("```") == 4
 
 
 def test_update_experiments_md(tmp_path):
-    artifacts = tmp_path / "artifacts"
-    artifacts.mkdir()
-    (artifacts / "fig2.txt").write_text("NUMBERS\n")
     doc = tmp_path / "EXPERIMENTS.md"
     doc.write_text("# header\n\nprose\n\n## Recorded numbers\n\nold stuff\n")
-    assert update_experiments_md(doc, artifacts, scale="test")
+    assert update_experiments_md(doc, _results(), scale="test")
     text = doc.read_text()
-    assert "NUMBERS" in text
+    assert "fig2: overheads" in text and "fig5: security" in text
     assert "old stuff" not in text
     assert text.startswith("# header")
 
 
 def test_update_without_marker_is_noop(tmp_path):
-    artifacts = tmp_path / "artifacts"
-    artifacts.mkdir()
-    (artifacts / "fig2.txt").write_text("NUMBERS\n")
     doc = tmp_path / "EXPERIMENTS.md"
     doc.write_text("no marker here\n")
-    assert not update_experiments_md(doc, artifacts)
+    assert not update_experiments_md(doc, _results())
     assert doc.read_text() == "no marker here\n"
